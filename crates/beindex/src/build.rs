@@ -1,22 +1,24 @@
 //! Index construction — Algorithms 3 and 6 of the paper.
 //!
-//! One pass of priority-obeyed wedge enumeration (identical to the
-//! counting pass of the `butterfly` crate) discovers every maximal
-//! priority-obeyed bloom: for a start vertex `u`, all wedges `(u, v, w)`
-//! with `p(v) < p(u)`, `p(w) < p(u)` sharing the same end `w` belong to the
-//! bloom anchored by `(u, w)`; the bloom exists when at least two wedges
-//! share the end (`count_wedge(w) > 1`, Algorithm 3 line 10).
+//! One pass of priority-obeyed wedge enumeration — the shared wedge scan
+//! of the `butterfly` crate, the same one counting runs — discovers
+//! every maximal priority-obeyed bloom: for a start vertex `u`, all
+//! wedges `(u, v, w)` with `p(v) < p(u)`, `p(w) < p(u)` sharing the same
+//! end `w` belong to the bloom anchored by `(u, w)`.
 //!
-//! The per-start-vertex step is factored out (`process_vertex`) so the
-//! sequential build and the sharded parallel build
-//! ([`BeIndex::build_parallel`](crate::BeIndex::build_parallel)) run the
-//! byte-for-byte identical enumeration; they differ only in which arena
-//! each vertex's blooms and wedges land in.
+//! Every in-memory build runs `build_sharded`: the bloom append
+//! ([`process_vertex_raw`]) per start vertex on the shared sharded
+//! driver ([`butterfly::shard_start_vertices`]), the shards' arenas
+//! spliced back in vertex order ([`RawArena::append`]) and finalized by
+//! [`assemble`]. The sequential and compressed builds are its one-shard
+//! case, so every thread count yields the same index.
 
-use bigraph::progress::{checkpoint, EngineObserver, NoopObserver, Phase, CHECK_INTERVAL};
-use bigraph::{BipartiteGraph, Result, VertexId};
+use bigraph::progress::{checkpoint, EngineObserver, NoopObserver, Phase};
+use bigraph::{BipartiteGraph, Result};
+use butterfly::{par_add_assign, shard_start_vertices};
 
 use crate::index::BeIndex;
+use crate::raw::{assemble, process_vertex_raw, RawArena, RawScratch};
 
 impl BeIndex {
     /// Builds the full BE-Index of `g` (Algorithm 3).
@@ -24,19 +26,20 @@ impl BeIndex {
     /// Runs in `O(Σ_{(u,v)∈E} min{d(u), d(v)})` time and space.
     pub fn build(g: &BipartiteGraph) -> BeIndex {
         // xtask:allow(no-panic-lib) infallible: the only Err source is observer cancellation and NoopObserver never cancels
-        build_inner(g, None, &NoopObserver).expect("NoopObserver never cancels")
+        build_sharded(g, None, 1, &NoopObserver).expect("NoopObserver never cancels")
     }
 
     /// [`BeIndex::build`] with an [`EngineObserver`]: reports phase start,
     /// coarse per-vertex progress, and polls for cancellation every
-    /// [`CHECK_INTERVAL`] start vertices.
+    /// [`CHECK_INTERVAL`](bigraph::progress::CHECK_INTERVAL) start
+    /// vertices.
     ///
     /// # Errors
     ///
     /// Returns [`bigraph::Error::Cancelled`] when the observer requests
     /// cancellation; the partial arena is discarded.
     pub fn build_observed(g: &BipartiteGraph, observer: &dyn EngineObserver) -> Result<BeIndex> {
-        build_inner(g, None, observer)
+        build_sharded(g, None, 1, observer)
     }
 
     /// Builds the *compressed* BE-Index of `g` (Algorithm 6), used by
@@ -52,7 +55,7 @@ impl BeIndex {
     pub fn build_compressed(g: &BipartiteGraph, assigned: &[bool]) -> BeIndex {
         debug_assert_eq!(assigned.len(), g.num_edges() as usize);
         // xtask:allow(no-panic-lib) infallible: the only Err source is observer cancellation and NoopObserver never cancels
-        build_inner(g, Some(assigned), &NoopObserver).expect("NoopObserver never cancels")
+        build_sharded(g, Some(assigned), 1, &NoopObserver).expect("NoopObserver never cancels")
     }
 
     /// [`BeIndex::build_compressed`] with an [`EngineObserver`]; same
@@ -68,218 +71,97 @@ impl BeIndex {
         observer: &dyn EngineObserver,
     ) -> Result<BeIndex> {
         debug_assert_eq!(assigned.len(), g.num_edges() as usize);
-        build_inner(g, Some(assigned), observer)
+        build_sharded(g, Some(assigned), 1, observer)
     }
 }
 
-/// Growable arenas the construction appends blooms and wedges into — the
-/// sequential build owns one spanning every vertex; each parallel worker
-/// owns one spanning its vertex shard.
-pub(crate) struct Arena {
-    pub(crate) wedge_e1: Vec<u32>,
-    pub(crate) wedge_e2: Vec<u32>,
-    /// Bloom id of each wedge, local to this arena.
-    pub(crate) wedge_bloom: Vec<u32>,
-    /// Wedge positions per bloom, local to this arena; starts at `[0]`.
-    pub(crate) bloom_start: Vec<u32>,
-    pub(crate) bloom_k: Vec<u32>,
-    pub(crate) bloom_anchor: Vec<(u32, u32)>,
-    /// Per-edge link tallies (global edge ids; additive across arenas).
-    pub(crate) link_count: Vec<u32>,
+/// One shard of an index build: its bloom arena and link tallies.
+struct Shard {
+    scratch: RawScratch,
+    arena: RawArena,
+    link_count: Vec<u32>,
 }
 
-impl Arena {
-    pub(crate) fn new(num_edges: usize) -> Arena {
-        Arena {
-            wedge_e1: Vec::new(),
-            wedge_e2: Vec::new(),
-            wedge_bloom: Vec::new(),
-            bloom_start: vec![0],
-            bloom_k: Vec::new(),
-            bloom_anchor: Vec::new(),
-            link_count: vec![0; num_edges],
-        }
-    }
-}
-
-/// Per-thread scratch, reset between start vertices via `touched`.
-pub(crate) struct Scratch {
-    count: Vec<u32>,  // count_wedge
-    stored: Vec<u32>, // wedges that will be materialized
-    cursor: Vec<u32>, // fill position per end vertex
-    touched: Vec<u32>,
-    wedges_local: Vec<(u32, u32, u32)>, // (w, e_uv, e_vw)
-}
-
-impl Scratch {
-    pub(crate) fn new(num_vertices: usize) -> Scratch {
-        Scratch {
-            count: vec![0; num_vertices],
-            stored: vec![0; num_vertices],
-            cursor: vec![0; num_vertices],
-            touched: Vec::new(),
-            wedges_local: Vec::new(),
-        }
-    }
-}
-
-/// Enumerates the priority-obeyed wedges starting at `u` and appends the
-/// blooms/wedges they form to `arena` (Algorithm 3 lines 4–13 for one
-/// start vertex). Deterministic: the arena layout depends only on `u` and
-/// the graph, never on which thread runs it.
-pub(crate) fn process_vertex(
-    g: &BipartiteGraph,
-    u: VertexId,
-    assigned: Option<&[bool]>,
-    scratch: &mut Scratch,
-    arena: &mut Arena,
-) {
-    let is_assigned = |e: u32| assigned.is_some_and(|a| a[e as usize]);
-    let pu = g.priority(u);
-    scratch.touched.clear();
-    scratch.wedges_local.clear();
-
-    let vs = g.pri_neighbor_slice(u);
-    let ves = g.pri_neighbor_edge_slice(u);
-    for (&v, &e_uv) in vs.iter().zip(ves) {
-        if g.priority(VertexId(v)) >= pu {
-            break;
-        }
-        let ws = g.pri_neighbor_slice(VertexId(v));
-        let wes = g.pri_neighbor_edge_slice(VertexId(v));
-        for (&w, &e_vw) in ws.iter().zip(wes) {
-            if g.priority(VertexId(w)) >= pu {
-                break;
-            }
-            if scratch.count[w as usize] == 0 {
-                scratch.touched.push(w);
-            }
-            scratch.count[w as usize] += 1;
-            // A wedge is stored unless both member edges are assigned
-            // (then it only contributes to the bloom's k — a "ghost").
-            if !(is_assigned(e_uv) && is_assigned(e_vw)) {
-                scratch.stored[w as usize] += 1;
-            }
-            scratch.wedges_local.push((w, e_uv, e_vw));
-        }
-    }
-
-    // Allocate one bloom per end vertex with count_wedge > 1 that has
-    // at least one stored wedge.
-    for &w in &scratch.touched {
-        let c = scratch.count[w as usize];
-        let s = scratch.stored[w as usize];
-        if c > 1 && s > 0 {
-            let base = arena.wedge_e1.len() as u32;
-            scratch.cursor[w as usize] = base;
-            let new_len = arena.wedge_e1.len() + s as usize;
-            arena.wedge_e1.resize(new_len, u32::MAX);
-            arena.wedge_e2.resize(new_len, u32::MAX);
-            arena
-                .wedge_bloom
-                .resize(new_len, arena.bloom_k.len() as u32);
-            arena.bloom_start.push(new_len as u32);
-            arena.bloom_k.push(c);
-            arena.bloom_anchor.push((u.0, w));
-        }
-    }
-
-    // Place stored wedges and tally link counts.
-    for &(w, e_uv, e_vw) in &scratch.wedges_local {
-        let c = scratch.count[w as usize];
-        if c > 1 && !(is_assigned(e_uv) && is_assigned(e_vw)) {
-            let pos = scratch.cursor[w as usize] as usize;
-            scratch.cursor[w as usize] += 1;
-            arena.wedge_e1[pos] = e_uv;
-            arena.wedge_e2[pos] = e_vw;
-            if !is_assigned(e_uv) {
-                arena.link_count[e_uv as usize] += 1;
-            }
-            if !is_assigned(e_vw) {
-                arena.link_count[e_vw as usize] += 1;
-            }
-        }
-    }
-
-    for &w in &scratch.touched {
-        scratch.count[w as usize] = 0;
-        scratch.stored[w as usize] = 0;
-    }
-}
-
-/// Turns a fully-populated arena into a [`BeIndex`]: per-edge link CSR
-/// (ascending wedge ids, as the fill order guarantees) and the packed
-/// presence/liveness bitsets.
-pub(crate) fn finish(arena: Arena, num_edges: usize, assigned: Option<&[bool]>) -> BeIndex {
-    let m = num_edges;
-    let is_assigned = |e: u32| assigned.is_some_and(|a| a[e as usize]);
-    let Arena {
-        wedge_e1,
-        wedge_e2,
-        wedge_bloom,
-        bloom_start,
-        bloom_k,
-        bloom_anchor,
-        link_count,
-    } = arena;
-
-    let mut link_start = vec![0u32; m + 1];
-    for e in 0..m {
-        link_start[e + 1] = link_start[e] + link_count[e];
-    }
-    let mut fill = link_start[..m].to_vec();
-    let mut link_wedge = vec![0u32; *link_start.last().unwrap_or(&0) as usize];
-    for w in 0..wedge_e1.len() {
-        for e in [wedge_e1[w], wedge_e2[w]] {
-            if !is_assigned(e) {
-                link_wedge[fill[e as usize] as usize] = w as u32;
-                fill[e as usize] += 1;
-            }
-        }
-    }
-
-    let in_index = match assigned {
-        Some(a) => crate::bitset::BitSet::from_fn(m, |e| !a[e]),
-        None => crate::bitset::BitSet::filled(m, true),
-    };
-    let wedge_alive = crate::bitset::BitSet::filled(wedge_e1.len(), true);
-
-    BeIndex {
-        num_edges: m as u32,
-        wedge_e1,
-        wedge_e2,
-        wedge_bloom,
-        wedge_alive,
-        bloom_start,
-        bloom_k,
-        bloom_anchor,
-        link_start,
-        link_wedge,
-        in_index,
-    }
-}
-
-fn build_inner(
+/// Builds the (optionally compressed) index of `g` across `threads`
+/// shards. A shard visits its start vertices in ascending order and a
+/// bloom's anchor names its start vertex, so walking the vertices in
+/// global order and splicing each one's blooms from its shard restores
+/// the sequential arena exactly; link tallies are additive.
+pub(crate) fn build_sharded(
     g: &BipartiteGraph,
     assigned: Option<&[bool]>,
+    threads: usize,
     observer: &dyn EngineObserver,
 ) -> Result<BeIndex> {
-    let n = g.num_vertices() as usize;
+    let n = g.num_vertices();
     let m = g.num_edges() as usize;
-    observer.on_phase_start(Phase::IndexBuild, n as u64);
+    observer.on_phase_start(Phase::IndexBuild, u64::from(n));
     checkpoint(observer)?;
-    let mut scratch = Scratch::new(n);
-    let mut arena = Arena::new(m);
-    for u in g.vertices() {
-        if (u.0 as u64).is_multiple_of(CHECK_INTERVAL) && u.0 > 0 {
-            checkpoint(observer)?;
-            observer.on_phase_progress(Phase::IndexBuild, u.0 as u64, n as u64);
-        }
-        process_vertex(g, u, assigned, &mut scratch, &mut arena);
-    }
-    let index = finish(arena, m, assigned);
+    let mut shards = shard_start_vertices(
+        n,
+        threads,
+        Phase::IndexBuild,
+        observer,
+        || Shard {
+            scratch: RawScratch::new(n as usize),
+            arena: RawArena::new(),
+            link_count: vec![0; m],
+        },
+        |s, u| {
+            process_vertex_raw(
+                g,
+                u,
+                assigned,
+                &mut s.scratch,
+                &mut s.arena,
+                &mut s.link_count,
+            )
+        },
+    )?;
+
+    let t = shards.len();
+    let mut partials = shards.iter_mut().map(|s| std::mem::take(&mut s.link_count));
+    let mut link_count = partials.next().unwrap_or_default();
+    let rest: Vec<Vec<u32>> = partials.collect();
+    par_add_assign(&mut link_count, &rest, t);
+    drop(rest);
+    let arena = if t == 1 {
+        shards.swap_remove(0).arena
+    } else {
+        splice_in_vertex_order(&shards, n)
+    };
+    drop(shards);
+    let index = assemble(arena, &link_count, assigned);
     observer.on_phase_end(Phase::IndexBuild);
     Ok(index)
+}
+
+/// Splices the shards' arenas into the one a single pass over
+/// `0..num_vertices` builds: vertex `u`'s blooms are the next run of
+/// shard `u mod T`'s blooms anchored at `u`.
+fn splice_in_vertex_order(shards: &[Shard], num_vertices: u32) -> RawArena {
+    let t = shards.len();
+    let mut merged = RawArena::new();
+    merged.reserve_exact(
+        shards.iter().map(|s| s.arena.num_wedges()).sum(),
+        shards.iter().map(|s| s.arena.num_blooms()).sum(),
+    );
+    let mut next = vec![0usize; t]; // first unspliced bloom per shard
+    for u in 0..num_vertices {
+        let ti = u as usize % t;
+        let arena = &shards[ti].arena;
+        let lo = next[ti];
+        let hi = lo
+            + arena.bloom_anchor[lo..]
+                .iter()
+                .take_while(|&&(start, _)| start == u)
+                .count();
+        if hi > lo {
+            merged.append(arena, lo..hi);
+            next[ti] = hi;
+        }
+    }
+    merged
 }
 
 #[cfg(test)]

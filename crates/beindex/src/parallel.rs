@@ -1,195 +1,56 @@
 //! Sharded multi-threaded BE-Index construction.
 //!
 //! The wedge-enumeration pass of Algorithm 3 is independent per start
-//! vertex, so [`BeIndex::build_parallel`] shards start vertices across
-//! scoped threads with the same interleaved scheme as
-//! `butterfly::count_per_edge_parallel` (vertex `v` → worker `v mod T`).
-//! Each worker appends the blooms and wedges its vertices produce into a
-//! thread-local `Arena` and records per-vertex
-//! arena watermarks; a merge pass then walks the vertices **in global
-//! order**, splicing each vertex's chunk into one global arena with
-//! renumbered bloom ids and prefix-summed wedge offsets. Per-edge link
+//! vertex, so [`BeIndex::build_parallel`] runs the one construction path
+//! ([`crate::build`]) on several shards of the shared driver
+//! ([`butterfly::shard_start_vertices`], the one parallel counting
+//! uses): vertex `v` goes to shard `v mod T`, each shard appends its
+//! blooms into its own arena, and the shards' per-vertex bloom ranges
+//! are spliced back in global vertex order with renumbered bloom ids
+//! ([`RawArena::append`](crate::RawArena::append)). Per-edge link
 //! tallies are additive, so they reduce with a chunked parallel sum.
 //!
-//! Because every worker runs the byte-identical per-vertex routine and
-//! the merge restores the sequential vertex order, the resulting index is
+//! Because every shard runs the same per-vertex bloom append and the
+//! splice restores the sequential vertex order, the resulting index is
 //! **bit-identical to [`BeIndex::build`] regardless of thread count** —
 //! the determinism the cross-checks in `tests/` pin down.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use bigraph::progress::{EngineObserver, NoopObserver};
+use bigraph::{BipartiteGraph, Result};
+use butterfly::Threads;
 
-use bigraph::progress::{EngineObserver, NoopObserver, Phase, CHECK_INTERVAL};
-use bigraph::{BipartiteGraph, Error, Result, VertexId};
-use butterfly::{par_add_assign, Threads};
-
-use crate::build::{finish, process_vertex, Arena, Scratch};
+use crate::build::build_sharded;
 use crate::index::BeIndex;
-
-/// One worker's output: its arena plus the arena watermarks (bloom count,
-/// wedge count) after each of its vertices, in shard order.
-struct WorkerOut {
-    arena: Arena,
-    vert_bloom_end: Vec<u32>,
-    vert_wedge_end: Vec<u32>,
-}
 
 impl BeIndex {
     /// Builds the full BE-Index of `g` across `threads` workers.
     ///
     /// Deterministic: the result (including the exact CSR layout, bloom
     /// numbering and wedge order) is identical to [`BeIndex::build`] for
-    /// every thread count. `Threads(0)` auto-detects; `Threads(1)` or an
-    /// empty graph falls through to the sequential build.
+    /// every thread count. `Threads(0)` auto-detects; `Threads(1)` or a
+    /// graph below [`butterfly::SHARD_MIN_VERTICES`] vertices runs one
+    /// shard on the calling thread.
     pub fn build_parallel(g: &BipartiteGraph, threads: Threads) -> BeIndex {
         BeIndex::build_parallel_observed(g, threads, &NoopObserver)
             .expect("NoopObserver never cancels") // xtask:allow(no-panic-lib) infallible: the only Err source is observer cancellation and NoopObserver never cancels
     }
 
     /// [`BeIndex::build_parallel`] with an [`EngineObserver`]: every
-    /// worker polls for cancellation and ticks a shared progress counter
-    /// roughly every [`CHECK_INTERVAL`] start vertices.
+    /// shard polls for cancellation and ticks a shared progress counter
+    /// every [`CHECK_INTERVAL`](bigraph::progress::CHECK_INTERVAL) start
+    /// vertices.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Cancelled`] when the observer requests
-    /// cancellation; all workers stop at their next poll and the partial
+    /// Returns [`bigraph::Error::Cancelled`] when the observer requests
+    /// cancellation; all shards stop at their next poll and the partial
     /// arenas are discarded.
     pub fn build_parallel_observed(
         g: &BipartiteGraph,
         threads: Threads,
         observer: &dyn EngineObserver,
     ) -> Result<BeIndex> {
-        let t = threads.resolve();
-        let n = g.num_vertices() as usize;
-        let m = g.num_edges() as usize;
-        if t <= 1 || n == 0 {
-            return BeIndex::build_observed(g, observer);
-        }
-        observer.on_phase_start(Phase::IndexBuild, n as u64);
-        let progress = AtomicU64::new(0);
-        let progress = &progress;
-
-        let mut workers: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..t)
-                .map(|ti| {
-                    scope.spawn(move || {
-                        let mut arena = Arena::new(m);
-                        let mut scratch = Scratch::new(n);
-                        let mut vert_bloom_end = Vec::new();
-                        let mut vert_wedge_end = Vec::new();
-                        let mut since_poll = 0u64;
-                        let mut v = ti;
-                        while v < n {
-                            since_poll += 1;
-                            if since_poll >= CHECK_INTERVAL {
-                                since_poll = 0;
-                                if observer.is_cancelled() {
-                                    break;
-                                }
-                                // Relaxed: advisory progress telemetry; no
-                                // memory is published through this counter.
-                                let done = progress.fetch_add(CHECK_INTERVAL, Ordering::Relaxed)
-                                    + CHECK_INTERVAL;
-                                observer.on_phase_progress(
-                                    Phase::IndexBuild,
-                                    done.min(n as u64),
-                                    n as u64,
-                                );
-                            }
-                            process_vertex(g, VertexId(v as u32), None, &mut scratch, &mut arena);
-                            vert_bloom_end.push(arena.bloom_k.len() as u32);
-                            vert_wedge_end.push(arena.wedge_e1.len() as u32);
-                            v += t;
-                        }
-                        WorkerOut {
-                            arena,
-                            vert_bloom_end,
-                            vert_wedge_end,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("index build worker panicked")) // xtask:allow(no-panic-lib) Err here means a worker panicked; workers are panic-free by this same lint, and propagating a real panic is the correct failure mode
-                .collect()
-        });
-        if observer.is_cancelled() {
-            return Err(Error::Cancelled);
-        }
-
-        // Per-edge link tallies are additive across workers, so they
-        // reduce with the shared chunked parallel sum (taken out of the
-        // arenas first; the structural merge below never reads them).
-        let mut link_partials: Vec<Vec<u32>> = workers
-            .iter_mut()
-            .map(|w| std::mem::take(&mut w.arena.link_count))
-            .collect();
-        let mut link_count = link_partials.swap_remove(0);
-        par_add_assign(&mut link_count, &link_partials, t);
-
-        // Merge the per-vertex chunks back into global vertex order. Edge
-        // ids are global already, so wedge member arrays splice verbatim;
-        // only bloom ids are renumbered (constant offset per chunk).
-        let total_blooms: usize = workers.iter().map(|w| w.arena.bloom_k.len()).sum();
-        let total_wedges: usize = workers.iter().map(|w| w.arena.wedge_e1.len()).sum();
-        let mut merged = Arena::new(0); // link_count replaced below
-        merged.wedge_e1.reserve_exact(total_wedges);
-        merged.wedge_e2.reserve_exact(total_wedges);
-        merged.wedge_bloom.reserve_exact(total_wedges);
-        merged.bloom_start.reserve_exact(total_blooms + 1);
-        merged.bloom_k.reserve_exact(total_blooms);
-        merged.bloom_anchor.reserve_exact(total_blooms);
-
-        let mut bloom_cursor = vec![0usize; t];
-        let mut wedge_cursor = vec![0usize; t];
-        let mut vertex_cursor = vec![0usize; t];
-        for u in 0..n {
-            let ti = u % t;
-            let wk = &workers[ti];
-            let i = vertex_cursor[ti];
-            vertex_cursor[ti] += 1;
-            let bloom_end = wk.vert_bloom_end[i] as usize;
-            let wedge_end = wk.vert_wedge_end[i] as usize;
-            let local_bloom_base = bloom_cursor[ti];
-            let local_wedge_base = wedge_cursor[ti];
-            if bloom_end == local_bloom_base {
-                continue; // vertex produced no blooms (and thus no wedges)
-            }
-            let global_bloom_base = merged.bloom_k.len() as u32;
-            for b in local_bloom_base..bloom_end {
-                let stored = wk.arena.bloom_start[b + 1] - wk.arena.bloom_start[b];
-                let next = *merged.bloom_start.last().unwrap() + stored; // xtask:allow(no-panic-lib) bloom_start is seeded with one sentinel entry before the merge loop, so last() is always Some
-                merged.bloom_start.push(next);
-            }
-            merged
-                .bloom_k
-                .extend_from_slice(&wk.arena.bloom_k[local_bloom_base..bloom_end]);
-            merged
-                .bloom_anchor
-                .extend_from_slice(&wk.arena.bloom_anchor[local_bloom_base..bloom_end]);
-            merged
-                .wedge_e1
-                .extend_from_slice(&wk.arena.wedge_e1[local_wedge_base..wedge_end]);
-            merged
-                .wedge_e2
-                .extend_from_slice(&wk.arena.wedge_e2[local_wedge_base..wedge_end]);
-            let offset = global_bloom_base - local_bloom_base as u32;
-            merged.wedge_bloom.extend(
-                wk.arena.wedge_bloom[local_wedge_base..wedge_end]
-                    .iter()
-                    .map(|&lb| lb + offset),
-            );
-            bloom_cursor[ti] = bloom_end;
-            wedge_cursor[ti] = wedge_end;
-        }
-        debug_assert_eq!(merged.bloom_k.len(), total_blooms);
-        debug_assert_eq!(merged.wedge_e1.len(), total_wedges);
-        merged.link_count = link_count;
-
-        let index = finish(merged, m, None);
-        observer.on_phase_end(Phase::IndexBuild);
-        Ok(index)
+        build_sharded(g, None, threads.resolve(), observer)
     }
 }
 
@@ -217,7 +78,10 @@ mod tests {
 
     #[test]
     fn bit_identical_to_sequential_across_thread_counts() {
-        for (edges, side, seed) in [(60, 10, 7), (400, 40, 1), (2_000, 120, 42)] {
+        // The last graph crosses the sharding cutoff; the others run one
+        // shard whatever the thread count.
+        assert!(random_graph(6_000, 700, 5).num_vertices() >= butterfly::SHARD_MIN_VERTICES);
+        for (edges, side, seed) in [(60, 10, 7), (400, 40, 1), (2_000, 120, 42), (6_000, 700, 5)] {
             let g = random_graph(edges, side, seed);
             let seq = BeIndex::build(&g);
             for threads in [1, 2, 3, 8] {

@@ -1,37 +1,41 @@
-//! Raw construction surface for external (out-of-core) BE-Index
-//! builders.
+//! The one BE-Index construction path: an append-only arena, the
+//! per-start-vertex bloom append, and the finalizer.
 //!
-//! The sequential build ([`BeIndex::build`]) is "run
-//! [`process_vertex`](crate::build) for `u = 0..n`, then turn the arena
-//! into link CSRs". The spill-to-disk builder in `bitruss_storage`
-//! needs to do exactly that, except the arena is flushed to Vfs-backed
-//! *runs* whenever it reaches a memory budget, and the runs are merged
-//! back (ascending start-vertex order, so concatenation with bloom/
-//! wedge-id offsets reproduces the sequential arena byte for byte).
-//!
-//! This module exposes the three pieces that makes possible, without
-//! opening the crate's internals:
+//! Every build — [`BeIndex::build`], the compressed build of
+//! Algorithm 6, the sharded [`BeIndex::build_parallel`] and the
+//! spill-to-disk builder of `bitruss_storage` — is "run
+//! [`process_vertex_raw`] for every start vertex, then [`assemble`]":
 //!
 //! * [`RawArena`] — the append-only bloom/wedge arena with public flat
-//!   vectors (serializable by the caller) and local bloom ids;
-//! * [`process_vertex_raw`] — the per-start-vertex enumeration, generic
-//!   over [`NeighborAccess`] and bit-identical to the in-memory build's
-//!   `process_vertex` (pinned by tests here);
-//! * [`assemble`] — the arena → [`BeIndex`] finalization, identical to
-//!   the sequential build's, taking the per-edge link tallies the
-//!   caller kept resident (they are `O(m)` and additive across runs).
+//!   vectors (serializable by the caller) and local bloom ids.
+//!   [`RawArena::append`] splices a range of another arena's blooms in
+//!   with renumbered ids, which is how the sharded build restores vertex
+//!   order and how the spill builder merges its runs;
+//! * [`process_vertex_raw`] — the bloom append of Algorithm 3 lines
+//!   4–13 (with Algorithm 6's `assigned` filter) for one start vertex,
+//!   consuming the shared wedge scan of the `butterfly` crate over any
+//!   [`NeighborAccess`] backend;
+//! * [`assemble`] — the arena → [`BeIndex`] finalization, taking the
+//!   per-edge link tallies the caller kept resident (they are `O(m)`
+//!   and additive across shards and runs).
+//!
+//! An arena built by [`process_vertex_raw`] over `u = 0..n` in order,
+//! however it was split into shards or runs and spliced back in vertex
+//! order, is the same arena, so [`assemble`] yields the same index.
+
+use std::ops::Range;
 
 use bigraph::{NeighborAccess, Result, VertexId};
+use butterfly::WedgeScan;
 
 use crate::bitset::BitSet;
 use crate::index::BeIndex;
 
-/// An append-only bloom/wedge arena with run-local bloom ids. The
-/// fields are exactly the per-arena vectors of the in-memory build;
+/// An append-only bloom/wedge arena with run-local bloom ids.
 /// `bloom_start` always begins with `0` and positions are local to this
 /// arena, so a builder can serialize an arena, reset it, and later
-/// concatenate many arenas (in ascending start-vertex order) by
-/// offsetting bloom ids and wedge positions.
+/// splice many arenas together (in ascending start-vertex order) with
+/// [`RawArena::append`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RawArena {
     /// First member edge of each wedge (the `(u,v)` edge).
@@ -42,8 +46,9 @@ pub struct RawArena {
     pub wedge_bloom: Vec<u32>,
     /// Arena-local wedge positions per bloom; starts at `[0]`.
     pub bloom_start: Vec<u32>,
-    /// Wedge count `k` of each bloom (including ghost wedges — there
-    /// are none in a full build).
+    /// Wedge count `k` of each bloom, including the ghost wedges of a
+    /// compressed build (wedges of two assigned edges, counted but not
+    /// stored).
     pub bloom_k: Vec<u32>,
     /// `(start, end)` vertex ids anchoring each bloom.
     pub bloom_anchor: Vec<(u32, u32)>,
@@ -79,6 +84,16 @@ impl RawArena {
             + self.bloom_anchor.len() * 8
     }
 
+    /// Reserves room for `wedges` more wedges and `blooms` more blooms.
+    pub fn reserve_exact(&mut self, wedges: usize, blooms: usize) {
+        self.wedge_e1.reserve_exact(wedges);
+        self.wedge_e2.reserve_exact(wedges);
+        self.wedge_bloom.reserve_exact(wedges);
+        self.bloom_start.reserve_exact(blooms);
+        self.bloom_k.reserve_exact(blooms);
+        self.bloom_anchor.reserve_exact(blooms);
+    }
+
     /// Resets to the empty state, keeping allocations.
     pub fn clear(&mut self) {
         self.wedge_e1.clear();
@@ -90,128 +105,144 @@ impl RawArena {
         self.bloom_anchor.clear();
     }
 
-    /// Appends another arena (the next ascending start-vertex range),
-    /// renumbering its local bloom ids and wedge positions past this
-    /// arena's. Concatenating per-range arenas in vertex order this way
-    /// reproduces exactly the arena a single sequential pass builds.
-    pub fn append(&mut self, run: &RawArena) {
-        let bloom_off = self.bloom_k.len() as u32;
-        let wedge_off = self.wedge_e1.len() as u32;
-        self.wedge_e1.extend_from_slice(&run.wedge_e1);
-        self.wedge_e2.extend_from_slice(&run.wedge_e2);
-        self.wedge_bloom
-            .extend(run.wedge_bloom.iter().map(|&b| b + bloom_off));
-        self.bloom_start
-            .extend(run.bloom_start[1..].iter().map(|&s| s + wedge_off));
-        self.bloom_k.extend_from_slice(&run.bloom_k);
-        self.bloom_anchor.extend_from_slice(&run.bloom_anchor);
+    /// Appends `run`'s blooms `blooms` (with their wedges, which are
+    /// contiguous because wedges are grouped by bloom), renumbering bloom
+    /// ids and wedge positions past this arena's. Splicing arenas' bloom
+    /// ranges in ascending start-vertex order this way reproduces exactly
+    /// the arena a single sequential pass builds.
+    pub fn append(&mut self, run: &RawArena, blooms: Range<usize>) {
+        let wedges = run.bloom_start[blooms.start] as usize..run.bloom_start[blooms.end] as usize;
+        let (bloom_base, first_bloom) = (self.bloom_k.len() as u32, blooms.start as u32);
+        let (wedge_base, first_wedge) = (self.wedge_e1.len() as u32, wedges.start as u32);
+        self.wedge_e1
+            .extend_from_slice(&run.wedge_e1[wedges.clone()]);
+        self.wedge_e2
+            .extend_from_slice(&run.wedge_e2[wedges.clone()]);
+        self.wedge_bloom.extend(
+            run.wedge_bloom[wedges]
+                .iter()
+                .map(|&b| b - first_bloom + bloom_base),
+        );
+        self.bloom_start.extend(
+            run.bloom_start[blooms.start + 1..=blooms.end]
+                .iter()
+                .map(|&s| s - first_wedge + wedge_base),
+        );
+        self.bloom_k.extend_from_slice(&run.bloom_k[blooms.clone()]);
+        self.bloom_anchor
+            .extend_from_slice(&run.bloom_anchor[blooms]);
     }
 }
 
 /// Per-pass scratch for [`process_vertex_raw`], sized to the graph's
 /// vertex count and reused across start vertices.
 pub struct RawScratch {
-    count: Vec<u32>,
+    scan: WedgeScan,
+    /// `(w, e_uv, e_vw)` of the current start vertex's wedges.
+    wedges: Vec<(u32, u32, u32)>,
+    /// Per end vertex: while scanning a compressed build, its stored
+    /// (non-ghost) wedges; then its bloom's next fill position.
     cursor: Vec<u32>,
-    touched: Vec<u32>,
-    wedges_local: Vec<(u32, u32, u32)>,
-    nbrs_u: Vec<u32>,
-    edges_u: Vec<u32>,
-    nbrs_v: Vec<u32>,
-    edges_v: Vec<u32>,
 }
 
 impl RawScratch {
     /// Scratch for a graph with `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> RawScratch {
         RawScratch {
-            count: vec![0; num_vertices],
+            scan: WedgeScan::new(num_vertices),
+            wedges: Vec::new(),
             cursor: vec![0; num_vertices],
-            touched: Vec::new(),
-            wedges_local: Vec::new(),
-            nbrs_u: Vec::new(),
-            edges_u: Vec::new(),
-            nbrs_v: Vec::new(),
-            edges_v: Vec::new(),
         }
     }
 }
 
 /// Enumerates the priority-obeyed wedges starting at `u` and appends
-/// the blooms/wedges they form to `arena`, tallying per-edge link
-/// counts into `link_count` (global edge ids; the caller keeps this
-/// `O(m)` array resident across runs). Bit-identical to the in-memory
-/// build's per-vertex step on the same logical graph.
+/// the blooms/wedges they form to `arena` (Algorithm 3 lines 4–13 for
+/// one start vertex), tallying per-edge link counts into `link_count`
+/// (global edge ids). A bloom exists where at least two wedges share an
+/// end (`count_wedge(w) > 1`, Algorithm 3 line 10).
+///
+/// `assigned` marks the edges of a compressed build (Algorithm 6): they
+/// get no links, and a wedge of two assigned edges is a *ghost* that
+/// counts towards its bloom's `k` without being stored; a bloom of
+/// ghosts alone is not materialized. Deterministic: the appended layout
+/// depends only on `u` and the graph, never on which shard runs it.
+///
+/// # Errors
+///
+/// Propagates loader failures of decoding backends.
 pub fn process_vertex_raw<N: NeighborAccess + ?Sized>(
     g: &N,
     u: VertexId,
+    assigned: Option<&[bool]>,
     scratch: &mut RawScratch,
     arena: &mut RawArena,
     link_count: &mut [u32],
 ) -> Result<()> {
-    let pu = g.priority(u);
-    scratch.touched.clear();
-    scratch.wedges_local.clear();
-
-    // The loads return exactly the prefix the in-memory kernel's
-    // break-scan visits (ascending priority, capped at p(u)).
-    g.load_pri_neighbors_below(u, pu, &mut scratch.nbrs_u, &mut scratch.edges_u)?;
-    for i in 0..scratch.nbrs_u.len() {
-        let (v, e_uv) = (scratch.nbrs_u[i], scratch.edges_u[i]);
-        g.load_pri_neighbors_below(VertexId(v), pu, &mut scratch.nbrs_v, &mut scratch.edges_v)?;
-        for (&w, &e_vw) in scratch.nbrs_v.iter().zip(&scratch.edges_v) {
-            if scratch.count[w as usize] == 0 {
-                scratch.touched.push(w);
-            }
-            scratch.count[w as usize] += 1;
-            scratch.wedges_local.push((w, e_uv, e_vw));
+    let is_assigned = |e: u32| assigned.is_some_and(|a| a[e as usize]);
+    let ghost = |e_uv: u32, e_vw: u32| is_assigned(e_uv) && is_assigned(e_vw);
+    let RawScratch {
+        scan,
+        wedges,
+        cursor,
+    } = scratch;
+    wedges.clear();
+    scan.scan(g, u, |_, w, e_uv, e_vw| {
+        wedges.push((w, e_uv, e_vw));
+        if assigned.is_some() && !ghost(e_uv, e_vw) {
+            cursor[w as usize] += 1;
         }
-    }
+    })?;
 
-    // Allocate one bloom per end vertex with count_wedge > 1 (in a full
-    // build every wedge is stored, so stored == count).
-    for &w in &scratch.touched {
-        let c = scratch.count[w as usize];
-        if c > 1 {
-            let base = arena.wedge_e1.len() as u32;
-            scratch.cursor[w as usize] = base;
-            let new_len = arena.wedge_e1.len() + c as usize;
+    // One bloom per end vertex with count_wedge > 1 that stores at
+    // least one wedge (a full build stores them all).
+    for &w in scan.touched() {
+        let c = scan.count(w);
+        let stored = if assigned.is_some() {
+            cursor[w as usize]
+        } else {
+            c
+        };
+        if c > 1 && stored > 0 {
+            let bloom = arena.bloom_k.len() as u32;
+            cursor[w as usize] = arena.wedge_e1.len() as u32;
+            let new_len = arena.wedge_e1.len() + stored as usize;
             arena.wedge_e1.resize(new_len, u32::MAX);
             arena.wedge_e2.resize(new_len, u32::MAX);
-            arena
-                .wedge_bloom
-                .resize(new_len, arena.bloom_k.len() as u32);
+            arena.wedge_bloom.resize(new_len, bloom);
             arena.bloom_start.push(new_len as u32);
             arena.bloom_k.push(c);
             arena.bloom_anchor.push((u.0, w));
         }
     }
 
-    // Place wedges and tally link counts.
-    for &(w, e_uv, e_vw) in &scratch.wedges_local {
-        if scratch.count[w as usize] > 1 {
-            let pos = scratch.cursor[w as usize] as usize;
-            scratch.cursor[w as usize] += 1;
+    // Place the stored wedges and tally link counts.
+    for &(w, e_uv, e_vw) in wedges.iter() {
+        if scan.count(w) > 1 && !ghost(e_uv, e_vw) {
+            let pos = cursor[w as usize] as usize;
+            cursor[w as usize] += 1;
             arena.wedge_e1[pos] = e_uv;
             arena.wedge_e2[pos] = e_vw;
-            link_count[e_uv as usize] += 1;
-            link_count[e_vw as usize] += 1;
+            if !is_assigned(e_uv) {
+                link_count[e_uv as usize] += 1;
+            }
+            if !is_assigned(e_vw) {
+                link_count[e_vw as usize] += 1;
+            }
         }
     }
-
-    for &w in &scratch.touched {
-        scratch.count[w as usize] = 0;
-    }
+    scan.drain(|w, _| cursor[w as usize] = 0);
     Ok(())
 }
 
-/// Finalizes a fully-merged arena into a [`BeIndex`] — the same link
-/// CSR and bitset construction as the in-memory build, so an arena
-/// produced by [`process_vertex_raw`] over `u = 0..n` (in order,
-/// however it was spilled and re-merged in between) yields an index
-/// equal (`==`) to [`BeIndex::build`].
-pub fn assemble(arena: RawArena, link_count: &[u32], num_edges: usize) -> BeIndex {
-    let m = num_edges;
+/// Finalizes a fully-merged arena into a [`BeIndex`]: the per-edge link
+/// CSR (ascending wedge ids, as the fill order guarantees) and the packed
+/// presence/liveness bitsets. `link_count` has one tally per edge of the
+/// graph; `assigned` is the compressed build's mask (`None` for a full
+/// build), whose edges start absent from `L(I)`.
+pub fn assemble(arena: RawArena, link_count: &[u32], assigned: Option<&[bool]>) -> BeIndex {
+    let m = link_count.len();
+    let is_assigned = |e: u32| assigned.is_some_and(|a| a[e as usize]);
     let RawArena {
         wedge_e1,
         wedge_e2,
@@ -226,18 +257,23 @@ pub fn assemble(arena: RawArena, link_count: &[u32], num_edges: usize) -> BeInde
         link_start[e + 1] = link_start[e] + link_count[e];
     }
     let mut fill = link_start[..m].to_vec();
-    let mut link_wedge = vec![0u32; *link_start.last().unwrap_or(&0) as usize];
+    let mut link_wedge = vec![0u32; link_start[m] as usize];
     for w in 0..wedge_e1.len() {
         for e in [wedge_e1[w], wedge_e2[w]] {
-            link_wedge[fill[e as usize] as usize] = w as u32;
-            fill[e as usize] += 1;
+            if !is_assigned(e) {
+                link_wedge[fill[e as usize] as usize] = w as u32;
+                fill[e as usize] += 1;
+            }
         }
     }
 
     BeIndex {
         num_edges: m as u32,
         wedge_alive: BitSet::filled(wedge_e1.len(), true),
-        in_index: BitSet::filled(m, true),
+        in_index: match assigned {
+            Some(a) => BitSet::from_fn(m, |e| !a[e]),
+            None => BitSet::filled(m, true),
+        },
         wedge_e1,
         wedge_e2,
         wedge_bloom,
@@ -262,14 +298,14 @@ mod tests {
         let mut merged = RawArena::new();
         let mut run = RawArena::new();
         for (i, u) in g.vertices().enumerate() {
-            process_vertex_raw(g, u, &mut scratch, &mut run, &mut link_count).unwrap();
+            process_vertex_raw(g, u, None, &mut scratch, &mut run, &mut link_count).unwrap();
             if (i + 1) % flush_every == 0 {
-                merged.append(&run);
+                merged.append(&run, 0..run.num_blooms());
                 run.clear();
             }
         }
-        merged.append(&run);
-        let idx = assemble(merged, &link_count, m);
+        merged.append(&run, 0..run.num_blooms());
+        let idx = assemble(merged, &link_count, None);
         assert_eq!(idx, BeIndex::build(g), "flush_every={flush_every}");
         idx.validate(g).unwrap();
     }

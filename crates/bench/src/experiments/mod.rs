@@ -1,6 +1,7 @@
 //! One module per table/figure of the paper's evaluation (§VI), plus the
 //! extension experiments (`ablation`, `parallel`, `query`,
-//! `maintenance`, `serve`).
+//! `maintenance`, `serve`, `ooc`) and the `micro` benchmarks of the
+//! peeling primitives.
 
 pub mod ablation;
 pub mod fig10;
@@ -12,6 +13,7 @@ pub mod fig5;
 pub mod fig7;
 pub mod fig9;
 pub mod maintenance;
+pub mod micro;
 pub mod ooc;
 pub mod parallel;
 pub mod query;
@@ -40,6 +42,7 @@ pub const ALL: &[&str] = &[
     "maintenance",
     "serve",
     "ooc",
+    "micro",
 ];
 
 /// Runs one experiment by id (or `all`). Experiments that measure whole
@@ -67,6 +70,7 @@ pub fn run(
         "maintenance" => maintenance::run(out, opts, json),
         "serve" => serve::run(out, opts, json),
         "ooc" => ooc::run(out, opts, json),
+        "micro" => micro::run(out, opts, json),
         "all" => {
             for id in ALL {
                 run(id, out, opts, json)?;

@@ -192,6 +192,28 @@ impl JsonRecord {
         r
     }
 
+    /// Builds a record for one primitive of the `micro` experiment. The
+    /// schema stays identical across experiments via a fixed mapping:
+    /// `algorithm` = the primitive's name, `total_ms` = median wall time
+    /// of one sample, `support_updates` = operations per sample (edges
+    /// removed or queue entries drained); the remaining fields are 0.
+    pub fn micro(primitive: &str, graph: &str, median: Duration, ops: u64) -> JsonRecord {
+        JsonRecord {
+            experiment: "micro".to_string(),
+            algorithm: primitive.to_string(),
+            graph: graph.to_string(),
+            threads: 1,
+            counting_ms: 0.0,
+            index_ms: 0.0,
+            peeling_ms: 0.0,
+            partition_ms: 0.0,
+            stitch_ms: 0.0,
+            total_ms: median.as_secs_f64() * 1e3,
+            support_updates: ops,
+            peak_index_bytes: 0,
+        }
+    }
+
     fn write_to(&self, out: &mut dyn Write) -> io::Result<()> {
         write!(
             out,

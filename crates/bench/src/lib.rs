@@ -5,7 +5,8 @@
 //! Run `cargo run --release -p bitruss-bench -- all` (or a single
 //! experiment id such as `fig9`) to print the paper-style rows; see
 //! EXPERIMENTS.md at the repository root for recorded paper-vs-measured
-//! comparisons. Criterion micro-benchmarks live in `benches/`.
+//! comparisons. The `micro` experiment times the peeling primitives on
+//! their own.
 
 #![warn(missing_docs)]
 

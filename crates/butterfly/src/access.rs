@@ -1,27 +1,28 @@
 //! Backend-generic butterfly kernels over [`NeighborAccess`].
 //!
-//! [`count_per_edge_access`] is the reference counting kernel
-//! ([`count_per_edge`](crate::count_per_edge)) re-expressed against the
-//! [`NeighborAccess`] loader contract, so the *same* arithmetic runs
-//! over the in-memory CSR or over the compressed, disk-paged adjacency
-//! of the out-of-core storage tier. The wedge enumeration order, the
-//! bloom tally order, and every addition into the support array are
-//! identical to the slice kernel — the two produce bit-identical
-//! [`ButterflyCounts`] on any graph (pinned by tests here and by
-//! proptests in the storage tier).
+//! [`count_per_edge_access`] counts over any backend: the in-memory CSR,
+//! or the compressed, disk-paged adjacency of the out-of-core storage
+//! tier. It is not a second kernel — it runs the same per-edge counting
+//! ([`crate::count_per_edge`]) over the shared wedge scan
+//! ([`crate::scan`]), which reads every backend through the lending load
+//! [`NeighborAccess::pri_neighbors_below`]. The CSR lends its lists and
+//! the scan breaks at the cap; decoding backends decode each
+//! below-cap prefix once into the scan's buffers. Either way the wedge
+//! order and every addition into the support array are the same, so all
+//! backends produce bit-identical [`ButterflyCounts`] (pinned against
+//! the brute-force oracle here and against the CSR run in the storage
+//! tier).
 //!
-//! The only structural difference is mechanical: the early-`break` on
-//! neighbor priority becomes the loader's `cap` argument (the lists
-//! are priority-sorted, so "scan until priority ≥ p(u)" and "load the
-//! prefix with priority < p(u)" touch exactly the same entries), and
-//! the kernel reads its own buffers instead of borrowed slices.
+//! The module also holds the id-sorted side of the contract:
+//! [`intersect_sorted`] and [`common_neighbors`].
 
-use crate::support::{choose2, ButterflyCounts};
-use bigraph::progress::{checkpoint, EngineObserver, NoopObserver, Phase, CHECK_INTERVAL};
+use crate::support::{count_edges, ButterflyCounts};
+use bigraph::progress::{EngineObserver, NoopObserver};
 use bigraph::{NeighborAccess, Result, VertexId};
 
 /// [`count_per_edge`](crate::count_per_edge) over any
-/// [`NeighborAccess`] backend. Bit-identical to the slice kernel.
+/// [`NeighborAccess`] backend. Bit-identical to it on the same logical
+/// graph.
 ///
 /// # Errors
 ///
@@ -34,8 +35,8 @@ pub fn count_per_edge_access<N: NeighborAccess + ?Sized>(g: &N) -> Result<Butter
 
 /// [`count_per_edge_access`] with an [`EngineObserver`]: reports phase
 /// start, coarse per-vertex progress, and polls for cancellation every
-/// [`CHECK_INTERVAL`] start vertices — the same cadence as the slice
-/// kernel.
+/// [`CHECK_INTERVAL`](bigraph::progress::CHECK_INTERVAL) start vertices —
+/// the same cadence as [`count_per_edge_observed`](crate::count_per_edge_observed).
 ///
 /// # Errors
 ///
@@ -46,66 +47,7 @@ pub fn count_per_edge_access_observed<N: NeighborAccess + ?Sized>(
     g: &N,
     observer: &dyn EngineObserver,
 ) -> Result<ButterflyCounts> {
-    let n = g.num_vertices() as usize;
-    let m = g.num_edges() as usize;
-    observer.on_phase_start(Phase::Counting, n as u64);
-    checkpoint(observer)?;
-    let mut per_edge = vec![0u64; m];
-    let mut total = 0u64;
-
-    // Scratch: wedge counts per end-vertex, reset via `touched`.
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut wedges: Vec<(u32, u32, u32)> = Vec::new(); // (w, e_uv, e_vw)
-
-    // Loader buffers for the two scan levels.
-    let mut vs: Vec<u32> = Vec::new();
-    let mut ves: Vec<u32> = Vec::new();
-    let mut ws: Vec<u32> = Vec::new();
-    let mut wes: Vec<u32> = Vec::new();
-
-    for ui in 0..n as u32 {
-        let u = VertexId(ui);
-        if (ui as u64).is_multiple_of(CHECK_INTERVAL) && ui > 0 {
-            checkpoint(observer)?;
-            observer.on_phase_progress(Phase::Counting, ui as u64, n as u64);
-        }
-        let pu = g.priority(u);
-        touched.clear();
-        wedges.clear();
-
-        // Priority-obeyed wedges (u, v, w): both loads return exactly
-        // the prefix the slice kernel's break-scan would visit.
-        g.load_pri_neighbors_below(u, pu, &mut vs, &mut ves)?;
-        for i in 0..vs.len() {
-            let (v, e_uv) = (vs[i], ves[i]);
-            g.load_pri_neighbors_below(VertexId(v), pu, &mut ws, &mut wes)?;
-            for (&w, &e_vw) in ws.iter().zip(&wes) {
-                if count[w as usize] == 0 {
-                    touched.push(w);
-                }
-                count[w as usize] += 1;
-                wedges.push((w, e_uv, e_vw));
-            }
-        }
-
-        // Each bloom (u, w) with c wedges holds C(c,2) butterflies and
-        // gives every member edge c−1 supports.
-        for &(w, e1, e2) in &wedges {
-            let c = count[w as usize] as u64;
-            if c >= 2 {
-                per_edge[e1 as usize] += c - 1;
-                per_edge[e2 as usize] += c - 1;
-            }
-        }
-        for &w in &touched {
-            total += choose2(count[w as usize] as u64);
-            count[w as usize] = 0;
-        }
-    }
-
-    observer.on_phase_end(Phase::Counting);
-    Ok(ButterflyCounts { per_edge, total })
+    count_edges(g, 1, observer)
 }
 
 /// Intersects two ascending id-sorted lists into `out` (cleared
@@ -181,7 +123,9 @@ pub fn common_neighbors<N: NeighborAccess + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_per_edge;
+    use crate::{
+        count_naive, count_per_edge, count_per_vertex, count_total, enumerate_butterflies,
+    };
     use bigraph::{BipartiteGraph, GraphBuilder};
 
     fn fig1() -> BipartiteGraph {
@@ -203,14 +147,28 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn generic_kernel_matches_slice_kernel_on_fig1() {
-        let g = fig1();
-        assert_eq!(count_per_edge_access(&g).unwrap(), count_per_edge(&g));
+    /// Every counting entry point against the brute-force oracles.
+    fn assert_entry_points_match_the_oracle(g: &BipartiteGraph, what: &str) {
+        let want = count_naive(g);
+        let mut per_vertex = vec![0u64; g.num_vertices() as usize];
+        for b in enumerate_butterflies(g) {
+            for v in [b.u1, b.u2, b.v1, b.v2] {
+                per_vertex[v.index()] += 1;
+            }
+        }
+        assert_eq!(count_per_edge(g), want, "{what}");
+        assert_eq!(count_per_edge_access(g).unwrap(), want, "{what}");
+        assert_eq!(count_total(g), want.total, "{what}");
+        assert_eq!(count_per_vertex(g), per_vertex, "{what}");
     }
 
     #[test]
-    fn generic_kernel_matches_on_bicliques_and_stars() {
+    fn every_entry_point_matches_the_oracle_on_fig1() {
+        assert_entry_points_match_the_oracle(&fig1(), "fig1");
+    }
+
+    #[test]
+    fn every_entry_point_matches_the_oracle_on_bicliques_and_stars() {
         for (a, b) in [(2u32, 2u32), (3, 4), (5, 5), (1, 50)] {
             let mut builder = GraphBuilder::new();
             for u in 0..a {
@@ -218,15 +176,13 @@ mod tests {
                     builder.push_edge(u, v);
                 }
             }
-            let g = builder.build().unwrap();
-            assert_eq!(
-                count_per_edge_access(&g).unwrap(),
-                count_per_edge(&g),
-                "K_{a},{b}"
-            );
+            assert_entry_points_match_the_oracle(&builder.build().unwrap(), &format!("K_{a},{b}"));
         }
-        let g = GraphBuilder::new().build().unwrap();
-        assert_eq!(count_per_edge_access(&g).unwrap(), count_per_edge(&g));
+        assert_entry_points_match_the_oracle(&GraphBuilder::new().build().unwrap(), "empty");
+        for seed in 0..8 {
+            let g = datagen::powerlaw::chung_lu(30, 30, 250, 2.0, 2.0, seed);
+            assert_entry_points_match_the_oracle(&g, &format!("chung-lu seed {seed}"));
+        }
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //! with `c` wedges holds `C(c,2)` butterflies and contributes `c − 1` to the
 //! support of each of its edges (Lemmas 1–3 of the paper).
 //!
-//! [`naive`] provides brute-force oracles used throughout the test suites,
-//! and [`parallel`] a multi-threaded variant of the same counting.
+//! The wedge enumeration is written once, in [`scan`], and every counting
+//! entry point consumes it: per-edge ([`count_per_edge`], over any
+//! [`NeighborAccess`](bigraph::NeighborAccess) backend with
+//! [`count_per_edge_access`], sharded with [`count_per_edge_parallel`]),
+//! total ([`count_total`]) and per-vertex ([`count_per_vertex`]), as does
+//! the BE-Index construction of the `beindex` crate. [`parallel`] holds
+//! the one sharded start-vertex driver both parallel passes run on.
+//! [`naive`] provides brute-force oracles used throughout the test
+//! suites.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -18,6 +25,7 @@ pub mod access;
 pub mod local;
 pub mod naive;
 pub mod parallel;
+pub mod scan;
 pub mod support;
 pub mod vertex;
 
@@ -30,7 +38,9 @@ pub use local::{
 };
 pub use naive::{count_naive, enumerate_butterflies, Butterfly};
 pub use parallel::{
-    count_per_edge_parallel, count_per_edge_parallel_observed, par_add_assign, Threads,
+    count_per_edge_parallel, count_per_edge_parallel_observed, par_add_assign,
+    shard_start_vertices, Threads, SHARD_MIN_VERTICES,
 };
+pub use scan::WedgeScan;
 pub use support::{count_per_edge, count_per_edge_observed, count_total, ButterflyCounts};
 pub use vertex::count_per_vertex;

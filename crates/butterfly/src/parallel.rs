@@ -1,20 +1,27 @@
-//! Multi-threaded per-edge butterfly counting.
+//! The sharded start-vertex driver, and multi-threaded per-edge
+//! butterfly counting on it.
 //!
 //! An extension beyond the paper (its §I cites parallel butterfly
-//! computations as related work): the priority-obeyed wedge enumeration is
-//! embarrassingly parallel over start vertices, so we shard vertices across
-//! threads (std scoped threads), give each thread its own scratch and
-//! support accumulator, and reduce at the end. The reduction itself is also
-//! parallel: the `m`-length accumulator is chunked across the same workers
-//! so no single thread has to merge `threads × m` partials alone. The
-//! result is bit-identical to [`crate::count_per_edge`].
+//! computations as related work): the priority-obeyed wedge enumeration
+//! is independent per start vertex, so [`shard_start_vertices`] deals
+//! start vertices to shards interleaved (vertex `u` → shard `u mod T`),
+//! runs each shard on its own scoped thread with its own state, polls
+//! for cancellation and ticks a shared progress counter, and returns the
+//! shards' states for the caller to merge. It drives both parallel
+//! counting here and the parallel BE-Index build of the `beindex` crate,
+//! and — with one shard on the calling thread — their sequential
+//! versions too.
+//!
+//! Counting merges by summing the shards' support arrays, chunked across
+//! the same workers ([`par_add_assign`]), so the result is bit-identical
+//! to [`crate::count_per_edge`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bigraph::progress::{EngineObserver, NoopObserver, Phase, CHECK_INTERVAL};
-use bigraph::{BipartiteGraph, Error, Result, VertexId};
+use bigraph::progress::{checkpoint, EngineObserver, NoopObserver, Phase, CHECK_INTERVAL};
+use bigraph::{BipartiteGraph, Result, VertexId};
 
-use crate::support::{choose2, ButterflyCounts};
+use crate::support::{count_edges, ButterflyCounts};
 
 /// Worker-thread configuration shared by every parallel entry point of the
 /// suite (counting, index construction, peeling): `Threads(0)` auto-detects
@@ -74,6 +81,81 @@ where
     });
 }
 
+/// Start-vertex count below which [`shard_start_vertices`] runs one
+/// shard on the calling thread whatever the thread count: on a graph
+/// this small, thread start-up and the per-shard `O(n + m)` scratch cost
+/// more than the scan.
+pub const SHARD_MIN_VERTICES: u32 = 1024;
+
+/// Runs `visit(&mut state, u)` for every start vertex `u` in
+/// `0..num_vertices`, dealt to shards interleaved: shard `t` of `T`
+/// visits `t, t + T, t + 2T, …` in ascending order with its own state
+/// from `init`. `T` is `threads` (at least 1), or 1 below
+/// [`SHARD_MIN_VERTICES`]; shard 0 runs on the calling thread, the rest
+/// on scoped threads. Every shard polls `observer` for cancellation and
+/// ticks `phase`'s shared progress counter every [`CHECK_INTERVAL`] of
+/// its vertices. Returns the `T` states in shard order.
+///
+/// # Errors
+///
+/// [`bigraph::Error::Cancelled`] when the observer requests
+/// cancellation, or the first error `visit` returned, in shard order;
+/// the other shards stop at their next poll or finish, and every
+/// state is discarded.
+pub fn shard_start_vertices<S, I, V>(
+    num_vertices: u32,
+    threads: usize,
+    phase: Phase,
+    observer: &dyn EngineObserver,
+    init: I,
+    visit: V,
+) -> Result<Vec<S>>
+where
+    S: Send,
+    I: Fn() -> S + Sync,
+    V: Fn(&mut S, VertexId) -> Result<()> + Sync,
+{
+    let n = num_vertices;
+    let shards = if n < SHARD_MIN_VERTICES {
+        1
+    } else {
+        threads.max(1)
+    };
+    let progress = AtomicU64::new(0);
+    let shard = |t: usize| -> Result<S> {
+        let mut state = init();
+        let mut since_poll = 0u64;
+        for u in (t..n as usize).step_by(shards) {
+            visit(&mut state, VertexId(u as u32))?;
+            since_poll += 1;
+            if since_poll == CHECK_INTERVAL {
+                since_poll = 0;
+                checkpoint(observer)?;
+                // Relaxed: advisory progress telemetry; no memory is
+                // published through this counter.
+                let done = progress.fetch_add(CHECK_INTERVAL, Ordering::Relaxed) + CHECK_INTERVAL;
+                observer.on_phase_progress(phase, done.min(u64::from(n)), u64::from(n));
+            }
+        }
+        Ok(state)
+    };
+    if shards == 1 {
+        return Ok(vec![shard(0)?]);
+    }
+    let shard = &shard;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..shards).map(|t| scope.spawn(move || shard(t))).collect();
+        let first = shard(0);
+        std::iter::once(first)
+            .chain(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked")), // xtask:allow(no-panic-lib) Err here means a worker panicked; workers are panic-free by this same lint, and propagating a real panic is the correct failure mode
+            )
+            .collect()
+    })
+}
+
 /// Parallel counting across `threads` workers (clamped to at least 1).
 /// `threads == 0` selects `std::thread::available_parallelism()`.
 pub fn count_per_edge_parallel(g: &BipartiteGraph, threads: usize) -> ButterflyCounts {
@@ -81,117 +163,22 @@ pub fn count_per_edge_parallel(g: &BipartiteGraph, threads: usize) -> ButterflyC
     count_per_edge_parallel_observed(g, threads, &NoopObserver).expect("NoopObserver never cancels")
 }
 
-/// [`count_per_edge_parallel`] with an [`EngineObserver`]: every worker
-/// polls for cancellation and ticks a shared progress counter roughly
-/// every [`CHECK_INTERVAL`] start vertices (so progress events may arrive
-/// from several threads).
+/// [`count_per_edge_parallel`] with an [`EngineObserver`]: every shard
+/// polls for cancellation and ticks a shared progress counter every
+/// [`CHECK_INTERVAL`] start vertices (so progress events may arrive from
+/// several threads).
 ///
 /// # Errors
 ///
-/// Returns [`Error::Cancelled`] when the observer requests cancellation;
-/// all workers stop at their next poll and the partials are discarded.
+/// Returns [`bigraph::Error::Cancelled`] when the observer requests
+/// cancellation; all shards stop at their next poll and the partials are
+/// discarded.
 pub fn count_per_edge_parallel_observed(
     g: &BipartiteGraph,
     threads: usize,
     observer: &dyn EngineObserver,
 ) -> Result<ButterflyCounts> {
-    let threads = Threads(threads).resolve();
-    let n = g.num_vertices() as usize;
-    let m = g.num_edges() as usize;
-    if threads <= 1 || n < 1024 {
-        return crate::support::count_per_edge_observed(g, observer);
-    }
-    observer.on_phase_start(Phase::Counting, n as u64);
-    let progress = AtomicU64::new(0);
-    let progress = &progress;
-
-    // Static interleaved sharding: vertex v goes to thread v % threads.
-    // High-degree vertices cluster at particular ids in many generators, so
-    // interleaving balances better than contiguous chunks.
-    let mut partials: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move || {
-                let mut per_edge = vec![0u64; m];
-                let mut total = 0u64;
-                let mut count = vec![0u32; n];
-                let mut touched: Vec<u32> = Vec::new();
-                let mut wedges: Vec<(u32, u32, u32)> = Vec::new();
-                let mut since_poll = 0u64;
-                let mut v_idx = t as u32;
-                while (v_idx as usize) < n {
-                    since_poll += 1;
-                    if since_poll >= CHECK_INTERVAL {
-                        since_poll = 0;
-                        if observer.is_cancelled() {
-                            break;
-                        }
-                        // Relaxed: advisory progress telemetry; no memory
-                        // is published through this counter.
-                        let done =
-                            progress.fetch_add(CHECK_INTERVAL, Ordering::Relaxed) + CHECK_INTERVAL;
-                        observer.on_phase_progress(Phase::Counting, done.min(n as u64), n as u64);
-                    }
-                    let u = VertexId(v_idx);
-                    v_idx += threads as u32;
-                    let pu = g.priority(u);
-                    touched.clear();
-                    wedges.clear();
-                    let vs = g.pri_neighbor_slice(u);
-                    let ves = g.pri_neighbor_edge_slice(u);
-                    for (&v, &e_uv) in vs.iter().zip(ves) {
-                        if g.priority(VertexId(v)) >= pu {
-                            break;
-                        }
-                        let ws = g.pri_neighbor_slice(VertexId(v));
-                        let wes = g.pri_neighbor_edge_slice(VertexId(v));
-                        for (&w, &e_vw) in ws.iter().zip(wes) {
-                            if g.priority(VertexId(w)) >= pu {
-                                break;
-                            }
-                            if count[w as usize] == 0 {
-                                touched.push(w);
-                            }
-                            count[w as usize] += 1;
-                            wedges.push((w, e_uv, e_vw));
-                        }
-                    }
-                    for &(w, e1, e2) in &wedges {
-                        let c = count[w as usize] as u64;
-                        if c >= 2 {
-                            per_edge[e1 as usize] += c - 1;
-                            per_edge[e2 as usize] += c - 1;
-                        }
-                    }
-                    for &w in &touched {
-                        total += choose2(count[w as usize] as u64);
-                        count[w as usize] = 0;
-                    }
-                }
-                (per_edge, total)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("counting worker panicked")) // xtask:allow(no-panic-lib) Err here means a worker panicked; workers are panic-free by this same lint, and propagating a real panic is the correct failure mode
-            .collect()
-    });
-
-    // A worker that saw the cancellation request broke out early, leaving
-    // its partial incomplete — discard everything and report cleanly.
-    if observer.is_cancelled() {
-        return Err(Error::Cancelled);
-    }
-
-    // Parallel reduction: fold the remaining partials into the first one,
-    // chunking the edge range across the same workers so the merge is not
-    // serialized on one thread.
-    let total = partials.iter().map(|&(_, t)| t).sum();
-    let mut per_edge = partials.remove(0).0;
-    let rest: Vec<Vec<u64>> = partials.into_iter().map(|(v, _)| v).collect();
-    par_add_assign(&mut per_edge, &rest, threads);
-    observer.on_phase_end(Phase::Counting);
-    Ok(ButterflyCounts { per_edge, total })
+    count_edges(g, Threads(threads).resolve(), observer)
 }
 
 #[cfg(test)]
@@ -222,6 +209,7 @@ mod tests {
     #[test]
     fn matches_sequential() {
         let g = dense_test_graph();
+        assert!(g.num_vertices() >= SHARD_MIN_VERTICES);
         let seq = count_per_edge(&g);
         for threads in [2, 3, 4, 8] {
             let par = count_per_edge_parallel(&g, threads);

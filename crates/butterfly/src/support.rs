@@ -1,7 +1,16 @@
 //! Per-edge butterfly support counting via priority-obeyed wedges.
+//!
+//! Every counting entry point — sequential or sharded, in-memory or over
+//! a decoding backend — runs `count_edges`: the shared wedge scan of
+//! [`crate::scan`] per start vertex, driven by
+//! [`shard_start_vertices`], with the shards' partial supports summed at
+//! the end.
 
-use bigraph::progress::{checkpoint, EngineObserver, NoopObserver, Phase, CHECK_INTERVAL};
-use bigraph::{BipartiteGraph, EdgeId, Result};
+use bigraph::progress::{checkpoint, EngineObserver, NoopObserver, Phase};
+use bigraph::{BipartiteGraph, EdgeId, NeighborAccess, Result, VertexId};
+
+use crate::parallel::{par_add_assign, shard_start_vertices};
+use crate::scan::WedgeScan;
 
 /// Result of a counting pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +53,7 @@ pub fn count_per_edge(g: &BipartiteGraph) -> ButterflyCounts {
 
 /// [`count_per_edge`] with an [`EngineObserver`]: reports phase start,
 /// coarse per-vertex progress, and polls for cancellation every
-/// [`CHECK_INTERVAL`] start vertices.
+/// [`CHECK_INTERVAL`](bigraph::progress::CHECK_INTERVAL) start vertices.
 ///
 /// # Errors
 ///
@@ -54,99 +63,94 @@ pub fn count_per_edge_observed(
     g: &BipartiteGraph,
     observer: &dyn EngineObserver,
 ) -> Result<ButterflyCounts> {
-    let n = g.num_vertices() as usize;
-    let m = g.num_edges() as usize;
-    observer.on_phase_start(Phase::Counting, n as u64);
-    checkpoint(observer)?;
-    let mut per_edge = vec![0u64; m];
-    let mut total = 0u64;
-
-    // Scratch: wedge counts per end-vertex, reset via `touched`.
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut wedges: Vec<(u32, u32, u32)> = Vec::new(); // (w, e_uv, e_vw)
-
-    for u in g.vertices() {
-        if (u.0 as u64).is_multiple_of(CHECK_INTERVAL) && u.0 > 0 {
-            checkpoint(observer)?;
-            observer.on_phase_progress(Phase::Counting, u.0 as u64, n as u64);
-        }
-        let pu = g.priority(u);
-        touched.clear();
-        wedges.clear();
-
-        // Enumerate priority-obeyed wedges (u, v, w): adjacency lists are
-        // sorted ascending by priority, so both scans stop early.
-        let vs = g.pri_neighbor_slice(u);
-        let ves = g.pri_neighbor_edge_slice(u);
-        for (&v, &e_uv) in vs.iter().zip(ves) {
-            if g.priority(bigraph::VertexId(v)) >= pu {
-                break;
-            }
-            let ws = g.pri_neighbor_slice(bigraph::VertexId(v));
-            let wes = g.pri_neighbor_edge_slice(bigraph::VertexId(v));
-            for (&w, &e_vw) in ws.iter().zip(wes) {
-                if g.priority(bigraph::VertexId(w)) >= pu {
-                    break;
-                }
-                if count[w as usize] == 0 {
-                    touched.push(w);
-                }
-                count[w as usize] += 1;
-                wedges.push((w, e_uv, e_vw));
-            }
-        }
-
-        // Each bloom (u, w) with c wedges holds C(c,2) butterflies and
-        // gives every member edge c−1 supports.
-        for &(w, e1, e2) in &wedges {
-            let c = count[w as usize] as u64;
-            if c >= 2 {
-                per_edge[e1 as usize] += c - 1;
-                per_edge[e2 as usize] += c - 1;
-            }
-        }
-        for &w in &touched {
-            total += choose2(count[w as usize] as u64);
-            count[w as usize] = 0;
-        }
-    }
-
-    observer.on_phase_end(Phase::Counting);
-    Ok(ButterflyCounts { per_edge, total })
+    count_edges(g, 1, observer)
 }
 
 /// Counts only the total number of butterflies (`onG`), skipping the
 /// per-edge pass.
 pub fn count_total(g: &BipartiteGraph) -> u64 {
-    let n = g.num_vertices() as usize;
+    let mut scan = WedgeScan::new(g.num_vertices() as usize);
     let mut total = 0u64;
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<u32> = Vec::new();
-
     for u in g.vertices() {
-        let pu = g.priority(u);
-        touched.clear();
-        for &v in g.pri_neighbor_slice(u) {
-            if g.priority(bigraph::VertexId(v)) >= pu {
-                break;
-            }
-            for &w in g.pri_neighbor_slice(bigraph::VertexId(v)) {
-                if g.priority(bigraph::VertexId(w)) >= pu {
-                    break;
-                }
-                if count[w as usize] == 0 {
-                    touched.push(w);
-                }
-                count[w as usize] += 1;
-            }
-        }
-        for &w in &touched {
-            total += choose2(count[w as usize] as u64);
-            count[w as usize] = 0;
-        }
+        scan.scan(g, u, |_, _, _, _| {})
+            .expect("CSR loads never fail"); // xtask:allow(no-panic-lib) infallible: the in-memory CSR lends its lists and never fails a load
+        scan.drain(|_, c| total += choose2(u64::from(c)));
     }
     total
+}
+
+/// One shard's per-edge counting state.
+struct EdgeCounts {
+    scan: WedgeScan,
+    /// `(w, e_uv, e_vw)` of the current start vertex's wedges.
+    wedges: Vec<(u32, u32, u32)>,
+    per_edge: Vec<u64>,
+    total: u64,
+}
+
+impl EdgeCounts {
+    fn new(num_vertices: usize, num_edges: usize) -> EdgeCounts {
+        EdgeCounts {
+            scan: WedgeScan::new(num_vertices),
+            wedges: Vec::new(),
+            per_edge: vec![0; num_edges],
+            total: 0,
+        }
+    }
+
+    /// Adds the butterflies of the blooms anchored at start vertex `u`.
+    #[inline]
+    fn add_blooms_of<N: NeighborAccess + ?Sized>(&mut self, g: &N, u: VertexId) -> Result<()> {
+        let EdgeCounts {
+            scan,
+            wedges,
+            per_edge,
+            total,
+        } = self;
+        wedges.clear();
+        scan.scan(g, u, |_, w, e_uv, e_vw| wedges.push((w, e_uv, e_vw)))?;
+        // Each bloom (u, w) with c wedges holds C(c,2) butterflies and
+        // gives every member edge c−1 supports.
+        for &(w, e1, e2) in wedges.iter() {
+            let c = u64::from(scan.count(w));
+            if c >= 2 {
+                per_edge[e1 as usize] += c - 1;
+                per_edge[e2 as usize] += c - 1;
+            }
+        }
+        scan.drain(|_, c| *total += choose2(u64::from(c)));
+        Ok(())
+    }
+}
+
+/// Per-edge counting over any backend across `threads` shards (one runs
+/// on the calling thread; see [`shard_start_vertices`] for the cutoff).
+/// Every addition into a support lands in the same shard-independent
+/// total, so the result is identical for every backend and shard count.
+pub(crate) fn count_edges<N: NeighborAccess + ?Sized>(
+    g: &N,
+    threads: usize,
+    observer: &dyn EngineObserver,
+) -> Result<ButterflyCounts> {
+    let n = g.num_vertices();
+    let m = g.num_edges() as usize;
+    observer.on_phase_start(Phase::Counting, u64::from(n));
+    checkpoint(observer)?;
+    let shards = shard_start_vertices(
+        n,
+        threads,
+        Phase::Counting,
+        observer,
+        || EdgeCounts::new(n as usize, m),
+        |shard, u| shard.add_blooms_of(g, u),
+    )?;
+    let total = shards.iter().map(|s| s.total).sum();
+    let mut partials = shards.into_iter().map(|s| s.per_edge);
+    let mut per_edge = partials.next().unwrap_or_default();
+    let rest: Vec<Vec<u64>> = partials.collect();
+    par_add_assign(&mut per_edge, &rest, rest.len() + 1);
+    observer.on_phase_end(Phase::Counting);
+    Ok(ButterflyCounts { per_edge, total })
 }
 
 #[cfg(test)]

@@ -2,12 +2,14 @@
 //!
 //! `count_per_vertex(g)[x]` is the number of butterflies containing
 //! vertex `x` — the quantity peeled by tip decomposition and a common
-//! network statistic. Derived from the same priority-obeyed wedge scan:
-//! a bloom with `c` wedges contributes `C(c,2)` butterflies to each of
-//! its two anchor vertices and `c − 1` to each middle vertex.
+//! network statistic. Derived from the shared wedge scan
+//! ([`crate::scan`]): a bloom with `c` wedges contributes `C(c,2)`
+//! butterflies to each of its two anchor vertices and `c − 1` to each
+//! middle vertex.
 
-use bigraph::{BipartiteGraph, VertexId};
+use bigraph::BipartiteGraph;
 
+use crate::scan::WedgeScan;
 use crate::support::choose2;
 
 /// Counts, for every vertex, the number of butterflies containing it, in
@@ -15,46 +17,26 @@ use crate::support::choose2;
 pub fn count_per_vertex(g: &BipartiteGraph) -> Vec<u64> {
     let n = g.num_vertices() as usize;
     let mut per_vertex = vec![0u64; n];
-
-    let mut count = vec![0u32; n];
-    let mut touched: Vec<u32> = Vec::new();
+    let mut scan = WedgeScan::new(n);
     let mut wedges: Vec<(u32, u32)> = Vec::new(); // (middle v, end w)
 
     for u in g.vertices() {
-        let pu = g.priority(u);
-        touched.clear();
         wedges.clear();
-
-        for &v in g.pri_neighbor_slice(u) {
-            if g.priority(VertexId(v)) >= pu {
-                break;
-            }
-            for &w in g.pri_neighbor_slice(VertexId(v)) {
-                if g.priority(VertexId(w)) >= pu {
-                    break;
-                }
-                if count[w as usize] == 0 {
-                    touched.push(w);
-                }
-                count[w as usize] += 1;
-                wedges.push((v, w));
-            }
-        }
-
-        // Middles: c − 1 butterflies per wedge membership.
+        scan.scan(g, u, |v, w, _, _| wedges.push((v, w)))
+            .expect("CSR loads never fail"); // xtask:allow(no-panic-lib) infallible: the in-memory CSR lends its lists and never fails a load
+                                             // Middles: c − 1 butterflies per wedge membership.
         for &(v, w) in &wedges {
-            let c = count[w as usize] as u64;
+            let c = u64::from(scan.count(w));
             if c >= 2 {
                 per_vertex[v as usize] += c - 1;
             }
         }
         // Anchors: C(c, 2) butterflies each.
-        for &w in &touched {
-            let b = choose2(count[w as usize] as u64);
+        scan.drain(|w, c| {
+            let b = choose2(u64::from(c));
             per_vertex[u.index()] += b;
             per_vertex[w as usize] += b;
-            count[w as usize] = 0;
-        }
+        });
     }
     per_vertex
 }

@@ -185,7 +185,6 @@ pub(crate) fn bit_bu_pp_run(
     observer: &dyn EngineObserver,
 ) -> Result<(Decomposition, Metrics)> {
     let mut metrics = Metrics::default();
-    let m = g.num_edges() as usize;
 
     let t0 = Instant::now();
     let counts = count_per_edge_observed(g, observer)?;
@@ -200,9 +199,30 @@ pub(crate) fn bit_bu_pp_run(
     metrics.peak_index_bytes = index.memory_bytes();
     metrics.iterations = 1;
 
+    let dec = peel_pp(&mut index, counts.per_edge, &mut metrics, observer)?;
+    Ok((dec, metrics))
+}
+
+/// The BiT-BU++ peel (Algorithm 5): pops the minimum support level off
+/// the bucket queue, assigns it as φ of the whole batch, and settles the
+/// batch with [`peel_batch_pp`], until every edge is assigned. Reports
+/// the peeling phase and polls for cancellation once per batch. Shared
+/// by the in-memory run and the budgeted (out-of-core) one, which differ
+/// only in how the supports and the index were built.
+///
+/// # Errors
+///
+/// Returns [`bigraph::Error::Cancelled`] when the observer requests
+/// cancellation; the partial φ assignment is discarded.
+pub(crate) fn peel_pp(
+    index: &mut BeIndex,
+    mut supp: Vec<u64>,
+    metrics: &mut Metrics,
+    observer: &dyn EngineObserver,
+) -> Result<Decomposition> {
+    let m = supp.len();
     let t2 = Instant::now();
     observer.on_phase_start(Phase::Peeling, m as u64);
-    let mut supp = counts.per_edge;
     let mut phi = vec![0u64; m];
     let mut queue = BucketQueue::new(&supp, |_| true);
     let mut state = BatchState::new(index.num_blooms());
@@ -217,19 +237,12 @@ pub(crate) fn bit_bu_pp_run(
             phi[e.index()] = level;
         }
         peel_batch_pp(
-            &mut index,
-            &mut supp,
-            &mut queue,
-            &mut state,
-            &batch,
-            level,
-            &mut metrics,
-            None,
+            index, &mut supp, &mut queue, &mut state, &batch, level, metrics, None,
         );
     }
     metrics.peeling_time = t2.elapsed();
     observer.on_phase_end(Phase::Peeling);
-    Ok((Decomposition::new(phi), metrics))
+    Ok(Decomposition::new(phi))
 }
 
 /// Runs BiT-BU# — an extension beyond the paper combining both batch

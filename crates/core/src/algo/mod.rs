@@ -229,39 +229,11 @@ pub fn decompose_observed(
     run_algorithm(g, algorithm, None, observer)
 }
 
-/// [`decompose`] with an update histogram bucketed by the given bounds on
-/// original supports (Figure 7 instrumentation). Not supported for the
-/// BiT-BS variants, which fall back to plain runs.
-#[deprecated(note = "use BitrussEngine with EngineBuilder::histogram_bounds")]
-pub fn decompose_with_histogram(
-    g: &BipartiteGraph,
-    algorithm: Algorithm,
-    bounds: &[u64],
-) -> (Decomposition, Metrics) {
-    crate::engine::BitrussEngine::builder()
-        .algorithm(algorithm)
-        .histogram_bounds(bounds.to_vec())
-        .build_borrowed(g)
-        .expect("NoopObserver never cancels and the configuration is valid") // xtask:allow(no-panic-lib) legacy wrapper, documented to panic on invalid configuration; EngineBuilder::build is the Err-returning path
-        .into_parts()
-}
-
-/// [`decompose`] with (2,2)-core pre-pruning (extension): every butterfly
-/// lies inside the (2,2)-core, so edges outside it have `φ = 0` and can
-/// be dropped before counting and peeling. On butterfly-sparse graphs
-/// this shrinks the working graph substantially at `O(n + m)` cost.
-#[deprecated(note = "use BitrussEngine with EngineBuilder::pruned(true)")]
-pub fn decompose_pruned(g: &BipartiteGraph, algorithm: Algorithm) -> (Decomposition, Metrics) {
-    crate::engine::BitrussEngine::builder()
-        .algorithm(algorithm)
-        .pruned(true)
-        .build_borrowed(g)
-        .expect("NoopObserver never cancels and the configuration is valid") // xtask:allow(no-panic-lib) legacy wrapper, documented to panic on invalid configuration; EngineBuilder::build is the Err-returning path
-        .into_parts()
-}
-
-/// The (2,2)-core pre-pruning wrapper around [`run_algorithm`], shared by
-/// the engine's `pruned` option and the deprecated [`decompose_pruned`].
+/// The (2,2)-core pre-pruning wrapper around [`run_algorithm`] behind the
+/// engine's `pruned` option (extension): every butterfly lies inside the
+/// (2,2)-core, so edges outside it have `φ = 0` and can be dropped before
+/// counting and peeling. On butterfly-sparse graphs this shrinks the
+/// working graph substantially at `O(n + m)` cost.
 pub(crate) fn prune_and_run(
     g: &BipartiteGraph,
     algorithm: Algorithm,

@@ -58,10 +58,9 @@
 //! # Relation to the legacy free functions
 //!
 //! [`decompose`](crate::decompose) and friends remain as thin wrappers
-//! over the same dispatch the engine uses, so results are bit-identical;
-//! `decompose_pruned` and `decompose_with_histogram` are deprecated in
-//! favour of [`EngineBuilder::pruned`] and
-//! [`EngineBuilder::histogram_bounds`].
+//! over the same dispatch the engine uses, so results are bit-identical.
+//! Pruning and update histograms are engine options only
+//! ([`EngineBuilder::pruned`], [`EngineBuilder::histogram_bounds`]).
 
 use std::fmt;
 use std::io::{BufRead, Read, Write};

@@ -65,14 +65,12 @@ pub mod repeel;
 pub mod tip;
 pub mod verify;
 
-#[allow(deprecated)]
 pub use algo::{
     bit_bs, bit_bs_observed, bit_bu, bit_bu_hybrid, bit_bu_hybrid_observed, bit_bu_observed,
     bit_bu_opts, bit_bu_plus, bit_bu_plus_observed, bit_bu_plus_opts, bit_bu_pp,
     bit_bu_pp_observed, bit_bu_pp_opts, bit_bu_pp_par, bit_bu_pp_par_observed, bit_bu_pp_par_tuned,
-    bit_pc, bit_pc_observed, bit_pc_opts, decompose, decompose_observed, decompose_pruned,
-    decompose_with_histogram, kmax_bound, Algorithm, ParseAlgorithmError, PeelStrategy, Threads,
-    DEFAULT_TAU,
+    bit_pc, bit_pc_observed, bit_pc_opts, decompose, decompose_observed, kmax_bound, Algorithm,
+    ParseAlgorithmError, PeelStrategy, Threads, DEFAULT_TAU,
 };
 pub use bitruss_storage::MemoryReport;
 pub use bucket_queue::BucketQueue;

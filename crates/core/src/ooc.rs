@@ -14,12 +14,11 @@
 //!    transient wedge arena at a budget share and merges Vfs-backed
 //!    runs back exactly.
 //!
-//! The peel loop that follows is *literally* the in-memory one
-//! ([`peel_batch_pp`]) over the same `BeIndex`, supports, and
-//! `BucketQueue` — the counting kernel is bit-identical over
-//! [`NeighborAccess`](bigraph::NeighborAccess) backends and the spill
-//! merge reproduces the sequential arena, so φ, support-update counts,
-//! and hierarchy answers are equal to the in-memory run's. The
+//! The peel that follows is the in-memory one ([`peel_pp`]) over the
+//! same `BeIndex` and supports — counting runs the same wedge scan over
+//! every [`NeighborAccess`](bigraph::NeighborAccess) backend and the
+//! spill merge reproduces the sequential arena, so φ, support-update
+//! counts, and hierarchy answers are equal to the in-memory run's. The
 //! integration proptests sweep budgets to pin exactly that.
 //!
 //! Budget split: half the budget bounds the spill arena, a quarter
@@ -33,12 +32,11 @@ use std::path::Path;
 use beindex::BeIndex;
 use bigraph::progress::{checkpoint, EngineObserver, Phase};
 use bigraph::vfs::Vfs;
-use bigraph::{BipartiteGraph, EdgeId, NeighborAccess, Result};
+use bigraph::{BipartiteGraph, NeighborAccess, Result};
 use bitruss_storage::{build_beindex_spilled, write_paged, MemoryReport, PagedGraph, SpillStats};
 use butterfly::count_per_edge_access_observed;
 
-use crate::algo::batch::{peel_batch_pp, BatchState};
-use crate::bucket_queue::BucketQueue;
+use crate::algo::batch::peel_pp;
 use crate::decomposition::Decomposition;
 use crate::metrics::Metrics;
 
@@ -65,7 +63,6 @@ pub(crate) fn decompose_out_of_core(
     observer: &dyn EngineObserver,
 ) -> Result<(Decomposition, Metrics)> {
     let mut metrics = Metrics::default();
-    let m = g.num_edges() as usize;
     let spill_budget = budget_bytes / 2;
     let cache_budget = budget_bytes / 4;
 
@@ -106,37 +103,8 @@ pub(crate) fn decompose_out_of_core(
     vfs.remove_file(&paged_path)?;
     metrics.memory = Some(report);
 
-    // From here on this is bit_bu_pp_run's peel loop, verbatim.
-    let t2 = std::time::Instant::now();
-    observer.on_phase_start(Phase::Peeling, m as u64);
-    let mut supp = counts.per_edge;
-    let mut phi = vec![0u64; m];
-    let mut queue = BucketQueue::new(&supp, |_| true);
-    let mut state = BatchState::new(index.num_blooms());
-    let mut batch: Vec<EdgeId> = Vec::new();
-
-    let mut popped = 0u64;
-    while let Some(level) = queue.pop_level(&supp, &mut batch) {
-        checkpoint(observer)?;
-        popped += batch.len() as u64;
-        observer.on_phase_progress(Phase::Peeling, popped, m as u64);
-        for &e in &batch {
-            phi[e.index()] = level;
-        }
-        peel_batch_pp(
-            &mut index,
-            &mut supp,
-            &mut queue,
-            &mut state,
-            &batch,
-            level,
-            &mut metrics,
-            None,
-        );
-    }
-    metrics.peeling_time = t2.elapsed();
-    observer.on_phase_end(Phase::Peeling);
-    Ok((Decomposition::new(phi), metrics))
+    let dec = peel_pp(&mut index, counts.per_edge, &mut metrics, observer)?;
+    Ok((dec, metrics))
 }
 
 /// Cheap pre-run upper estimate of the in-memory working set: the CSR

@@ -15,9 +15,10 @@
 //!   varint edge ids. Neighbor ids are recovered through the resident
 //!   priority → vertex inverse permutation. Because the stream ascends
 //!   by priority, a capped load
-//!   ([`NeighborAccess::load_pri_neighbors_below`]) decodes exactly
-//!   the prefix the kernels consume and stops — the early break of the
-//!   wedge scans survives compression.
+//!   ([`NeighborAccess::pri_neighbors_below`]) decodes exactly the
+//!   prefix the wedge scan consumes into the caller's buffers, stops,
+//!   and lends that prefix — the early break of the wedge scan survives
+//!   compression, and each prefix is decoded once.
 //!
 //! Resident arrays: per-vertex priority, the inverse permutation,
 //! degrees, and the two per-vertex byte-offset directories. Everything
@@ -335,6 +336,8 @@ fn read_skip(skips: &[u8], c: usize) -> (u32, u32) {
 }
 
 impl NeighborAccess for CompressedAdjacency {
+    const PREFIX_ONLY: bool = true;
+
     fn num_vertices(&self) -> u32 {
         self.num_lower + self.num_upper
     }
@@ -351,13 +354,13 @@ impl NeighborAccess for CompressedAdjacency {
         self.degree[v.index()]
     }
 
-    fn load_pri_neighbors_below(
-        &self,
+    fn pri_neighbors_below<'a>(
+        &'a self,
         v: VertexId,
         cap: u32,
-        nbrs: &mut Vec<u32>,
-        edges: &mut Vec<u32>,
-    ) -> Result<()> {
+        nbrs: &'a mut Vec<u32>,
+        edges: &'a mut Vec<u32>,
+    ) -> Result<(&'a [u32], &'a [u32])> {
         nbrs.clear();
         edges.clear();
         let block =
@@ -369,7 +372,8 @@ impl NeighborAccess for CompressedAdjacency {
             &self.vertex_of_priority,
             nbrs,
             edges,
-        )
+        )?;
+        Ok((nbrs, edges))
     }
 
     fn load_neighbors_by_id(
@@ -387,7 +391,7 @@ impl NeighborAccess for CompressedAdjacency {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bigraph::GraphBuilder;
 
@@ -403,6 +407,37 @@ mod tests {
         builder.build().unwrap()
     }
 
+    /// The lending contract for a decoding backend: for every vertex and
+    /// every cap, the lent pair ascends by priority, stops below the cap,
+    /// and equals the break-scan over `g`'s priority-sorted CSR list.
+    pub(crate) fn assert_lends_capped_prefixes<N: NeighborAccess>(g: &BipartiteGraph, backend: &N) {
+        let (mut nbrs, mut edges) = (Vec::new(), Vec::new());
+        for v in g.vertices() {
+            for cap in (0..=g.num_vertices()).chain([u32::MAX]) {
+                let (ns, es) = backend
+                    .pri_neighbors_below(v, cap, &mut nbrs, &mut edges)
+                    .unwrap();
+                let pri: Vec<u32> = ns.iter().map(|&w| g.priority(VertexId(w))).collect();
+                assert!(pri.windows(2).all(|p| p[0] < p[1]), "v={v:?} cap={cap}");
+                assert!(pri.iter().all(|&p| p < cap), "v={v:?} cap={cap}");
+                let (mut want_n, mut want_e) = (Vec::new(), Vec::new());
+                for (&w, &e) in g
+                    .pri_neighbor_slice(v)
+                    .iter()
+                    .zip(g.pri_neighbor_edge_slice(v))
+                {
+                    if g.priority(VertexId(w)) >= cap {
+                        break;
+                    }
+                    want_n.push(w);
+                    want_e.push(e);
+                }
+                assert_eq!(ns, want_n, "pri nbrs of {v:?} cap={cap}");
+                assert_eq!(es, want_e, "pri edges of {v:?} cap={cap}");
+            }
+        }
+    }
+
     fn assert_backends_agree(g: &BipartiteGraph) {
         let c = CompressedAdjacency::from_graph(g).unwrap();
         assert_eq!(NeighborAccess::num_vertices(&c), g.num_vertices());
@@ -415,15 +450,8 @@ mod tests {
             c.load_neighbors_by_id(v, &mut n2, &mut e2).unwrap();
             assert_eq!(n1, n2, "id nbrs of {v:?}");
             assert_eq!(e1, e2, "id edges of {v:?}");
-            for cap in [0, 1, 2, g.num_vertices() / 2, g.num_vertices(), u32::MAX] {
-                g.load_pri_neighbors_below(v, cap, &mut n1, &mut e1)
-                    .unwrap();
-                c.load_pri_neighbors_below(v, cap, &mut n2, &mut e2)
-                    .unwrap();
-                assert_eq!(n1, n2, "pri nbrs of {v:?} cap={cap}");
-                assert_eq!(e1, e2, "pri edges of {v:?} cap={cap}");
-            }
         }
+        assert_lends_capped_prefixes(g, &c);
     }
 
     #[test]

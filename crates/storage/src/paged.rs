@@ -31,7 +31,7 @@
 //! with a full-file pass (the point of a paged tier is not to read the
 //! whole file).
 //!
-//! All I/O goes through the [`Vfs`](bigraph::vfs::Vfs) seam, so
+//! All I/O goes through the [`Vfs`] seam, so
 //! `MemVfs` fault and kill injection covers these paths like every
 //! other persistent structure in the workspace.
 
@@ -318,6 +318,8 @@ impl PagedGraph {
 }
 
 impl NeighborAccess for PagedGraph {
+    const PREFIX_ONLY: bool = true;
+
     fn num_vertices(&self) -> u32 {
         self.num_lower + self.num_upper
     }
@@ -334,13 +336,13 @@ impl NeighborAccess for PagedGraph {
         self.degree[v.index()]
     }
 
-    fn load_pri_neighbors_below(
-        &self,
+    fn pri_neighbors_below<'a>(
+        &'a self,
         v: VertexId,
         cap: u32,
-        nbrs: &mut Vec<u32>,
-        edges: &mut Vec<u32>,
-    ) -> Result<()> {
+        nbrs: &'a mut Vec<u32>,
+        edges: &'a mut Vec<u32>,
+    ) -> Result<(&'a [u32], &'a [u32])> {
         nbrs.clear();
         edges.clear();
         let (s, e) = (self.pri_dir[v.index()], self.pri_dir[v.index() + 1]);
@@ -358,9 +360,9 @@ impl NeighborAccess for PagedGraph {
                 .ok_or_else(|| Error::Corrupt("priority delta overflows u32".into()))?;
             if p >= cap {
                 // The stream ascends by priority: nothing later can be
-                // below the cap. This early return is what keeps the
+                // below the cap. This early stop is what keeps the
                 // budgeted wedge scans O(Σ min{d(u), d(v)}).
-                return Ok(());
+                break;
             }
             let e = r.get_u32()?;
             let w = *self
@@ -370,7 +372,7 @@ impl NeighborAccess for PagedGraph {
             nbrs.push(w);
             edges.push(e);
         }
-        Ok(())
+        Ok((nbrs, edges))
     }
 
     fn load_neighbors_by_id(
@@ -428,15 +430,8 @@ mod tests {
             pg.load_neighbors_by_id(v, &mut n2, &mut e2).unwrap();
             assert_eq!(n1, n2);
             assert_eq!(e1, e2);
-            for cap in [0, 3, g.num_vertices() / 2, u32::MAX] {
-                g.load_pri_neighbors_below(v, cap, &mut n1, &mut e1)
-                    .unwrap();
-                pg.load_pri_neighbors_below(v, cap, &mut n2, &mut e2)
-                    .unwrap();
-                assert_eq!(n1, n2, "v={v:?} cap={cap}");
-                assert_eq!(e1, e2, "v={v:?} cap={cap}");
-            }
         }
+        crate::compressed::tests::assert_lends_capped_prefixes(&g, &pg);
         assert!(pg.resident_bytes() > 0);
         assert!(pg.resident_bytes() < g.memory_bytes());
     }
@@ -543,7 +538,7 @@ mod tests {
             let (mut n, mut e) = (Vec::new(), Vec::new());
             for v in g.vertices() {
                 let _ = pg.load_neighbors_by_id(v, &mut n, &mut e);
-                let _ = pg.load_pri_neighbors_below(v, u32::MAX, &mut n, &mut e);
+                let _ = pg.pri_neighbors_below(v, u32::MAX, &mut n, &mut e);
             }
         }
     }

@@ -3,9 +3,9 @@
 //! The in-memory BE-Index build appends every priority-obeyed wedge
 //! into one arena before finalizing, so its transient memory is
 //! O(wedges) — the quantity the paper shows can dwarf the graph. The
-//! budgeted builder here runs the same per-vertex enumeration
-//! ([`process_vertex_raw`], bit-identical by the tests in `beindex`)
-//! but flushes the arena to a Vfs-backed *run file* whenever it reaches
+//! budgeted builder here runs the same per-vertex bloom append
+//! ([`process_vertex_raw`], the one every in-memory build runs) but
+//! flushes the arena to a Vfs-backed *run file* whenever it reaches
 //! the budget, so the enumeration phase peaks at O(budget) arena bytes
 //! plus the O(m) per-edge link tallies that stay resident across runs.
 //!
@@ -70,7 +70,14 @@ pub fn build_beindex_spilled<N: NeighborAccess + ?Sized>(
     let mut dir_ready = false;
 
     for u in 0..n {
-        process_vertex_raw(g, VertexId(u), &mut scratch, &mut arena, &mut link_count)?;
+        process_vertex_raw(
+            g,
+            VertexId(u),
+            None,
+            &mut scratch,
+            &mut arena,
+            &mut link_count,
+        )?;
         stats.peak_arena_bytes = stats.peak_arena_bytes.max(arena.bytes());
         if arena.bytes() >= budget_bytes && arena.num_wedges() > 0 {
             if !dir_ready {
@@ -87,7 +94,7 @@ pub fn build_beindex_spilled<N: NeighborAccess + ?Sized>(
 
     if run_meta.is_empty() {
         // Everything fit: this *is* the sequential build.
-        return Ok((assemble(arena, &link_count, m), stats));
+        return Ok((assemble(arena, &link_count, None), stats));
     }
 
     // Merge: concatenate the runs in write order (ascending vertex
@@ -96,20 +103,15 @@ pub fn build_beindex_spilled<N: NeighborAccess + ?Sized>(
     let total_wedges: usize = run_meta.iter().map(|&(w, _)| w).sum::<usize>() + arena.num_wedges();
     let total_blooms: usize = run_meta.iter().map(|&(_, b)| b).sum::<usize>() + arena.num_blooms();
     let mut merged = RawArena::new();
-    merged.wedge_e1.reserve_exact(total_wedges);
-    merged.wedge_e2.reserve_exact(total_wedges);
-    merged.wedge_bloom.reserve_exact(total_wedges);
-    merged.bloom_start.reserve_exact(total_blooms);
-    merged.bloom_k.reserve_exact(total_blooms);
-    merged.bloom_anchor.reserve_exact(total_blooms);
+    merged.reserve_exact(total_wedges, total_blooms);
     for (k, &(wedges, blooms)) in run_meta.iter().enumerate() {
         let path = run_path(dir, k);
         let run = read_run(vfs, &path, wedges, blooms)?;
-        merged.append(&run);
+        merged.append(&run, 0..blooms);
         vfs.remove_file(&path)?;
     }
-    merged.append(&arena);
-    Ok((assemble(merged, &link_count, m), stats))
+    merged.append(&arena, 0..arena.num_blooms());
+    Ok((assemble(merged, &link_count, None), stats))
 }
 
 fn run_path(dir: &Path, k: usize) -> PathBuf {
@@ -206,6 +208,12 @@ pub(crate) fn read_run(
     let mut bloom_start = Vec::with_capacity(blooms + 1);
     bloom_start.push(0);
     bloom_start.extend(u32_vec(blooms));
+    // The merge slices wedges by these offsets.
+    if bloom_start.windows(2).any(|w| w[0] > w[1]) || bloom_start.last() != Some(&(wedges as u32)) {
+        return Err(Error::Corrupt(format!(
+            "spill run {path:?} has bloom offsets that do not cover its {wedges} wedges"
+        )));
+    }
     let bloom_k = u32_vec(blooms);
     let anchor_flat = u32_vec(blooms * 2);
     let bloom_anchor = anchor_flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
@@ -238,16 +246,17 @@ mod tests {
         b.build().unwrap()
     }
 
-    #[test]
-    fn spilled_build_is_identical_for_every_budget() {
-        let g = wedge_heavy_graph();
-        let reference = BeIndex::build(&g);
+    /// Spills `backend`'s index at every budget and checks it against
+    /// the in-memory build of `g`.
+    fn assert_spills_identically<N: NeighborAccess>(g: &BipartiteGraph, backend: &N) {
+        let reference = BeIndex::build(g);
         let mut spilled_at_least_once = false;
         for budget in [0usize, 64, 256, 1024, 4096, usize::MAX] {
             let vfs = MemVfs::new();
-            let (idx, stats) = build_beindex_spilled(&g, budget, &vfs, Path::new("spill")).unwrap();
+            let (idx, stats) =
+                build_beindex_spilled(backend, budget, &vfs, Path::new("spill")).unwrap();
             assert_eq!(idx, reference, "budget={budget}");
-            idx.validate(&g).unwrap();
+            idx.validate(g).unwrap();
             if stats.runs > 0 {
                 spilled_at_least_once = true;
                 assert!(stats.spill_bytes_written > 0);
@@ -264,6 +273,17 @@ mod tests {
             assert!(stats.peak_arena_bytes > 0);
         }
         assert!(spilled_at_least_once, "budgets never triggered a spill");
+    }
+
+    #[test]
+    fn spilled_build_is_identical_for_every_budget() {
+        let g = wedge_heavy_graph();
+        assert_spills_identically(&g, &g);
+        assert_spills_identically(&g, &crate::CompressedAdjacency::from_graph(&g).unwrap());
+        let vfs = MemVfs::new();
+        crate::write_paged(&g, &vfs, Path::new("g.paged")).unwrap();
+        let paged = crate::PagedGraph::open(&vfs, Path::new("g.paged"), 1).unwrap();
+        assert_spills_identically(&g, &paged);
     }
 
     #[test]
@@ -291,6 +311,14 @@ mod tests {
         write_run(&vfs, Path::new("r"), &a).unwrap();
         let back = read_run(&vfs, Path::new("r"), 3, 2).unwrap();
         assert_eq!(back, a);
+        // A run whose checksum holds but whose bloom offsets overrun its
+        // wedges is rejected before the merge slices by them.
+        a.bloom_start[2] = 4;
+        write_run(&vfs, Path::new("r"), &a).unwrap();
+        assert!(matches!(
+            read_run(&vfs, Path::new("r"), 3, 2),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -113,10 +113,9 @@ pub mod workloads {
 }
 
 pub use bigraph::{BipartiteGraph, EdgeId, GraphBuilder, VertexId};
-#[allow(deprecated)]
 pub use bitruss_core::{
     bit_bs, bit_bu, bit_bu_hybrid, bit_bu_plus, bit_bu_pp, bit_bu_pp_2p, bit_bu_pp_par, bit_pc,
-    decompose, decompose_observed, decompose_pruned, k_bitruss, read_decomposition, read_snapshot,
+    decompose, decompose_observed, k_bitruss, read_decomposition, read_snapshot,
     read_snapshot_file, tip_decomposition, write_decomposition, write_snapshot,
     write_snapshot_file, Algorithm, BandPartition, BitrussEngine, BitrussHierarchy, Community,
     Decomposition, EngineBuilder, EngineObserver, HierarchyMode, MemoryReport, Metrics,

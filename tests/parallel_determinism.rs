@@ -1,13 +1,17 @@
-//! Determinism cross-checks for the parallel engine: the parallel
-//! BE-Index build and BiT-BU++/P must be **bit-identical** to their
-//! sequential counterparts for every thread count, on randomized graphs.
-//! These are the guarantees the merge-in-vertex-order construction and
-//! the `max(MBS, ·)` composition law provide by design; this suite pins
-//! them against regressions.
+//! Determinism cross-checks for the parallel engine: parallel counting,
+//! the parallel BE-Index build and BiT-BU++/P must be **bit-identical**
+//! to their sequential counterparts (counting: to the brute-force
+//! oracle) for every thread count, on randomized graphs. These are the
+//! guarantees the merge-in-vertex-order construction and the
+//! `max(MBS, ·)` composition law provide by design; this suite pins them
+//! against regressions. Graphs below `SHARD_MIN_VERTICES` run one shard
+//! whatever the thread count, so the counting and index strategies also
+//! draw graphs past that cutoff.
 
+use bitruss::counting::{count_naive, SHARD_MIN_VERTICES};
 use bitruss::decomposition::{bit_bu_pp, bit_bu_pp_par_tuned, validate_decomposition};
 use bitruss::index::BeIndex;
-use bitruss::{decompose, Algorithm, BipartiteGraph, Threads};
+use bitruss::{count_per_edge_parallel, decompose, Algorithm, BipartiteGraph, Threads};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 3, 8];
@@ -19,10 +23,34 @@ fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = BipartiteGraph> 
         .prop_map(|(nu, nl, m, seed)| bitruss::workloads::random::uniform(nu, nl, m, seed))
 }
 
+/// Random graphs with more than [`SHARD_MIN_VERTICES`] vertices, so the
+/// parallel passes really shard.
+fn arb_sharded() -> impl Strategy<Value = BipartiteGraph> {
+    let half = SHARD_MIN_VERTICES / 2;
+    (
+        half..=half + 200,
+        half..=half + 200,
+        1_000..=6_000usize,
+        any::<u64>(),
+    )
+        .prop_map(|(nu, nl, m, seed)| bitruss::workloads::random::uniform(nu, nl, m, seed))
+}
+
 /// Skewed bipartite graph strategy (hubs present).
 fn arb_skewed(max_n: u32, max_m: usize) -> impl Strategy<Value = BipartiteGraph> {
-    (4..=max_n, 4..=max_n, 8..=max_m, any::<u64>(), 15..30u32).prop_map(
-        |(nu, nl, m, seed, alpha10)| {
+    arb_skewed_in(4, max_n, max_m)
+}
+
+/// Skewed graphs with `min_n..=max_n` vertices per layer.
+fn arb_skewed_in(min_n: u32, max_n: u32, max_m: usize) -> impl Strategy<Value = BipartiteGraph> {
+    (
+        min_n..=max_n,
+        min_n..=max_n,
+        8..=max_m,
+        any::<u64>(),
+        15..30u32,
+    )
+        .prop_map(|(nu, nl, m, seed, alpha10)| {
             bitruss::workloads::powerlaw::chung_lu(
                 nu,
                 nl,
@@ -31,8 +59,7 @@ fn arb_skewed(max_n: u32, max_m: usize) -> impl Strategy<Value = BipartiteGraph>
                 f64::from(alpha10) / 10.0,
                 seed,
             )
-        },
-    )
+        })
 }
 
 proptest! {
@@ -42,7 +69,7 @@ proptest! {
     /// numbering, same wedge order, same CSR layout — for every thread
     /// count.
     #[test]
-    fn parallel_index_build_is_bit_identical(g in arb_graph(20, 120)) {
+    fn parallel_index_build_is_bit_identical(g in prop_oneof![arb_graph(20, 120), arb_sharded()]) {
         let seq = BeIndex::build(&g);
         for &t in THREAD_COUNTS {
             let par = BeIndex::build_parallel(&g, Threads(t));
@@ -50,10 +77,22 @@ proptest! {
         }
     }
 
+    /// Parallel counting equals the brute-force oracle for every thread
+    /// count.
+    #[test]
+    fn parallel_counting_matches_the_oracle(g in prop_oneof![arb_graph(20, 120), arb_sharded()]) {
+        let want = count_naive(&g);
+        for &t in THREAD_COUNTS {
+            prop_assert_eq!(&count_per_edge_parallel(&g, t), &want, "threads = {}", t);
+        }
+    }
+
     /// Same property on skewed graphs, whose hub vertices stress the
     /// interleaved sharding balance.
     #[test]
-    fn parallel_index_build_is_bit_identical_skewed(g in arb_skewed(32, 260)) {
+    fn parallel_index_build_is_bit_identical_skewed(
+        g in prop_oneof![arb_skewed(32, 260), arb_skewed_in(520, 640, 5_000)]
+    ) {
         let seq = BeIndex::build(&g);
         for &t in THREAD_COUNTS {
             let par = BeIndex::build_parallel(&g, Threads(t));
