@@ -27,7 +27,8 @@ pub fn run(out: &mut dyn Write, opts: &Opts) -> io::Result<()> {
     for d in selected_datasets(opts) {
         let g = d.generate();
         let counts = count_per_edge(&g);
-        let (dec, _) = decompose(&g, Algorithm::pc_default());
+        // φ is bit-identical across engines; BU++ is the cheapest here.
+        let (dec, _) = decompose(&g, Algorithm::BuPlusPlus);
         table.row(&[
             d.name.to_string(),
             count(g.num_edges() as u64),

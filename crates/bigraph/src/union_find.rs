@@ -49,9 +49,10 @@ impl UnionFind {
 
     /// Merges the sets containing `a` and `b`, returning the surviving
     /// representative and whether a merge actually happened. The returned
-    /// root is what [`Self::find`] yields for both elements afterwards —
-    /// callers that key per-component state by root (e.g. the hierarchy
-    /// forest build) use it to avoid a second `find`.
+    /// root is what [`Self::find`] yields for both elements afterwards.
+    /// `find` on a root returns at once, so callers that already hold both
+    /// roots (the hierarchy forest build reads per-root state first) pass
+    /// them and link without a second path walk.
     pub fn merge(&mut self, a: u32, b: u32) -> (u32, bool) {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {

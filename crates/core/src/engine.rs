@@ -66,7 +66,7 @@ use std::fmt;
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bigraph::progress::checkpoint;
 use bigraph::vfs::{StdVfs, Vfs};
@@ -319,7 +319,7 @@ impl EngineBuilder {
             algorithm: Some(algorithm),
             decomposition: Arc::new(decomposition),
             metrics: Some(metrics),
-            hierarchy: Arc::new(OnceLock::new()),
+            hierarchy: Arc::default(),
             observer,
         };
         if self.hierarchy_mode == HierarchyMode::Eager {
@@ -354,7 +354,7 @@ impl EngineBuilder {
             algorithm: Some(Algorithm::BuPlusPlus),
             decomposition: Arc::new(decomposition),
             metrics: Some(metrics),
-            hierarchy: Arc::new(OnceLock::new()),
+            hierarchy: Arc::default(),
             observer,
         };
         if self.hierarchy_mode == HierarchyMode::Eager {
@@ -415,8 +415,23 @@ pub struct BitrussEngine<'g> {
     /// Shared with [`BitrussEngine::clone_shared`] clones of the same
     /// generation, so whichever handle builds the index first serves it
     /// to all of them.
-    hierarchy: Arc<OnceLock<BitrussHierarchy>>,
+    hierarchy: Arc<HierarchyCache>,
     observer: Arc<dyn EngineObserver + Send + Sync>,
+}
+
+/// A generation's lazily built hierarchy index. Readers take it from
+/// `built` without locking; `building` admits one builder at a time, so
+/// the readers that find `built` empty together run one build.
+#[derive(Default)]
+struct HierarchyCache {
+    built: OnceLock<BitrussHierarchy>,
+    building: Mutex<()>,
+}
+
+impl HierarchyCache {
+    fn get(&self) -> Option<&BitrussHierarchy> {
+        self.built.get()
+    }
 }
 
 impl fmt::Debug for BitrussEngine<'_> {
@@ -472,10 +487,12 @@ impl BitrussEngine<'static> {
     }
 
     fn adopt(snapshot: crate::persist::binary::Snapshot) -> Result<Self> {
-        let hierarchy = OnceLock::new();
-        if let Some(h) = snapshot.hierarchy {
-            let _ = hierarchy.set(h);
-        }
+        let hierarchy = HierarchyCache {
+            built: snapshot
+                .hierarchy
+                .map_or_else(OnceLock::new, OnceLock::from),
+            building: Mutex::new(()),
+        };
         Ok(BitrussEngine {
             graph: SessionGraph::Shared(Arc::new(snapshot.graph)),
             algorithm: None,
@@ -590,7 +607,7 @@ impl<'g> BitrussEngine<'g> {
         self.decomposition = Arc::new(decomposition);
         self.metrics = metrics;
         self.algorithm = None;
-        self.hierarchy = Arc::new(OnceLock::new());
+        self.hierarchy = Arc::default();
         Ok(())
     }
 
@@ -609,26 +626,36 @@ impl<'g> BitrussEngine<'g> {
     }
 
     /// The hierarchy index, building and caching it on first use.
-    /// Subsequent calls are lock-free reads.
+    /// Subsequent calls are lock-free reads. Callers that find the cache
+    /// empty together share one build: the first one builds, the others
+    /// wait for it and get the same index.
     ///
     /// # Errors
     ///
     /// [`Error::Cancelled`] when the session's observer cancels the
-    /// build.
+    /// build. The cache stays empty, so a waiting caller then builds.
     pub fn hierarchy(&self) -> Result<&BitrussHierarchy> {
-        if self.hierarchy.get().is_none() {
-            let observer = &*self.observer;
-            checkpoint(observer)?;
-            observer.on_phase_start(Phase::HierarchyBuild, self.graph.get().num_edges() as u64);
-            let h = BitrussHierarchy::new(self.graph.get(), &self.decomposition)?;
-            observer.on_phase_end(Phase::HierarchyBuild);
-            // A concurrent caller may have won the race; first write wins
-            // and both results are identical.
-            let _ = self.hierarchy.set(h);
+        let cache = &*self.hierarchy;
+        if let Some(h) = cache.get() {
+            return Ok(h);
         }
-        self.hierarchy
-            .get()
-            .ok_or_else(|| Error::Invariant("hierarchy cache empty after initialization".into()))
+        // `OnceLock::get_or_try_init` is unstable: the mutex admits one
+        // builder, and the re-check hands its index to the callers that
+        // queued behind it. The mutex guards no data and a panicked build
+        // left `built` empty, so a poisoned lock is still safe to take.
+        let _building = cache
+            .building
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(h) = cache.get() {
+            return Ok(h);
+        }
+        let observer = &*self.observer;
+        checkpoint(observer)?;
+        observer.on_phase_start(Phase::HierarchyBuild, self.graph.get().num_edges() as u64);
+        let h = BitrussHierarchy::new(self.graph.get(), &self.decomposition)?;
+        observer.on_phase_end(Phase::HierarchyBuild);
+        Ok(cache.built.get_or_init(|| h))
     }
 
     /// The number of edges in the k-bitruss, in `O(log L)`.

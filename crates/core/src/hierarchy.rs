@@ -4,8 +4,8 @@
 //! The whole point of computing φ for every edge (§II of the paper) is
 //! that the nested k-bitruss hierarchy `H_0 ⊇ H_1 ⊇ H_2 ⊇ …` can then be
 //! *queried*. [`Decomposition`]'s query methods rescan all `m` edges per
-//! call; a [`BitrussHierarchy`] is built once in `O(m α(n) + m log m)`
-//! and afterwards answers
+//! call; a [`BitrussHierarchy`] is built once in `O(m α(n) + n)` (a
+//! counting sort suffices because `φ(e) < m`) and afterwards answers
 //!
 //! * [`BitrussHierarchy::k_bitruss_count`] in `O(log L)`,
 //! * [`BitrussHierarchy::k_bitruss_edges`] in `O(log L + |answer| log |answer|)`
@@ -106,145 +106,104 @@ pub struct BitrussHierarchy {
 }
 
 impl BitrussHierarchy {
-    /// Builds the hierarchy for `(g, d)`.
+    /// Builds the hierarchy for `(g, d)` in `O(m α(n) + n)`: one counting
+    /// sort of the edges by φ, then one union-find sweep over the levels
+    /// from φ_max downward.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Invariant`] when `d` does not belong to `g` (φ
-    /// array length differs from the edge count).
+    /// Returns [`Error::Invariant`] when `d` does not belong to `g`: the
+    /// φ array length differs from the edge count, or some `φ(e) ≥ m`.
+    /// On the graph φ came from, `φ(e) ≤ sup(e) ≤ m − 1`, because each
+    /// butterfly through `e` is named by its opposite edge.
     pub fn new(g: &BipartiteGraph, d: &Decomposition) -> Result<Self> {
         check_matching(g, d)?;
-        let phi = &d.phi;
-        let m = phi.len();
+        let m = d.phi.len();
         let n = g.num_vertices() as usize;
+        let (levels, count_ge, perm) = sort_by_phi(&d.phi)?;
 
-        let mut perm: Vec<u32> = (0..m as u32).collect();
-        perm.sort_unstable_by_key(|&e| (std::cmp::Reverse(phi[e as usize]), e));
-
-        // Distinct levels (ascending) and cumulative ≥-counts from the
-        // descending permutation.
-        let mut levels: Vec<u64> = Vec::new();
-        let mut count_ge: Vec<usize> = Vec::new();
-        for (i, &e) in perm.iter().enumerate() {
-            let p = phi[e as usize];
-            if levels.last() != Some(&p) {
-                levels.push(p);
-                count_ge.push(i);
-            }
-        }
-        // So far count_ge holds the prefix *start* of each descending
-        // level's block; "edges with φ ≥ level" is the start of the next
-        // block (m for the smallest level). Flip both to ascending order.
-        let mut ge: Vec<usize> = if count_ge.is_empty() {
-            Vec::new()
-        } else {
-            let mut v = count_ge[1..].to_vec();
-            v.push(m);
-            v
-        };
-        levels.reverse();
-        ge.reverse();
-        let count_ge = ge;
-
-        // Nested community forest: sweep levels downward, tracking for
-        // each union-find root the most recent node of its component.
+        // Nested community forest: sweep levels downward. `node_of_root`
+        // holds, per union-find root, the most recent node of its
+        // component ([`NONE`] before the component has one).
         let mut uf = UnionFind::new(n);
         let mut node_of_root: Vec<u32> = vec![NONE; n];
         let mut node_level: Vec<u64> = Vec::new();
         let mut node_parent: Vec<u32> = Vec::new();
         let mut node_edge_offsets: Vec<usize> = vec![0];
-        let mut node_edge_ids: Vec<u32> = Vec::with_capacity(m);
+        let mut node_edge_ids: Vec<u32> = vec![0; m];
         let mut edge_node: Vec<u32> = vec![NONE; m];
-        // Generation-stamped scratch: `slot[r]` holds the node created at
-        // root `r` during the current level iff `mark[r] == generation`.
-        let mut mark: Vec<u32> = vec![0; n];
-        let mut slot: Vec<u32> = vec![NONE; n];
-        let mut generation: u32 = 0;
+        let mut vertex_max_k = vec![ISOLATED; n];
+        // Per-level scratch, reused across levels.
+        let mut absorbed: Vec<(u32, u32)> = Vec::new();
+        let mut cursor: Vec<usize> = Vec::new();
 
-        let mut i = 0;
-        while i < m {
-            let level = phi[perm[i] as usize];
-            let mut j = i;
-            while j < m && phi[perm[j] as usize] == level {
-                j += 1;
-            }
-            let group = &perm[i..j];
-            generation += 1;
+        for (i, &level) in levels.iter().enumerate().rev() {
+            // The level's edges, id-ascending; the `lo` edges above it
+            // already own `node_edge_ids[..lo]`.
+            let lo = count_ge.get(i + 1).copied().unwrap_or(0);
+            let group = &perm[lo..count_ge[i]];
 
-            // 1. Components touched by this level's edges become children
-            //    of the new nodes — snapshot (node, root) before unions.
-            let mut absorbed: Vec<(u32, u32)> = Vec::new();
+            // 1. Every component a level edge touches is absorbed: its
+            //    current node becomes a child of the node this level
+            //    creates for it. Taking the node out of `node_of_root`
+            //    dedups it and leaves every touched root without a node.
+            //    A vertex first touched here has its max φ at this level.
+            absorbed.clear();
             for &e in group {
                 let (u, v) = g.edge(EdgeId(e));
-                for x in [u.0, v.0] {
+                let [ru, rv] = [u.0, v.0].map(|x| {
+                    if vertex_max_k[x as usize] == ISOLATED {
+                        vertex_max_k[x as usize] = level;
+                    }
                     let r = uf.find(x);
-                    let nd = node_of_root[r as usize];
+                    let nd = std::mem::replace(&mut node_of_root[r as usize], NONE);
                     if nd != NONE {
                         absorbed.push((nd, r));
                     }
-                }
-            }
-            absorbed.sort_unstable();
-            absorbed.dedup_by_key(|c| c.0);
-
-            // 2. Merge this level's edges into the union-find.
-            for &e in group {
-                let (u, v) = g.edge(EdgeId(e));
-                uf.union(u.0, v.0);
+                    r
+                });
+                uf.merge(ru, rv);
             }
 
-            // 3. One new node per component that contains a level edge;
-            //    edges grouped contiguously per node for the CSR.
-            let mut assignment: Vec<(u32, u32)> = Vec::with_capacity(group.len());
+            // 2. One new node per component holding a level edge, numbered
+            //    by the component's first level edge in id order. The
+            //    level's nodes get contiguous ids from `first`; `cursor`
+            //    counts their edges.
+            let first = node_level.len() as u32;
+            cursor.clear();
             for &e in group {
                 let (u, _) = g.edge(EdgeId(e));
                 let r = uf.find(u.0) as usize;
-                let nd = if mark[r] == generation {
-                    slot[r]
-                } else {
-                    let id = node_level.len() as u32;
+                let mut nd = node_of_root[r];
+                if nd == NONE {
+                    nd = node_level.len() as u32;
                     node_level.push(level);
                     node_parent.push(NONE);
-                    mark[r] = generation;
-                    slot[r] = id;
-                    id
-                };
-                edge_node[e as usize] = nd;
-                assignment.push((nd, e));
-            }
-            assignment.sort_unstable();
-            let mut t = 0;
-            while t < assignment.len() {
-                let nd = assignment[t].0;
-                while t < assignment.len() && assignment[t].0 == nd {
-                    node_edge_ids.push(assignment[t].1);
-                    t += 1;
+                    node_of_root[r] = nd;
+                    cursor.push(0);
                 }
-                node_edge_offsets.push(node_edge_ids.len());
+                edge_node[e as usize] = nd;
+                cursor[(nd - first) as usize] += 1;
             }
 
-            // 4. Absorbed components hang below the node now covering
-            //    them; 5. that node becomes the component's current node.
-            for &(old_node, old_root) in &absorbed {
-                let r = uf.find(old_root) as usize;
-                debug_assert_eq!(mark[r], generation, "absorbed component got no node");
-                node_parent[old_node as usize] = slot[r];
+            // 3. The level's nodes own `node_edge_ids[lo..]` in node order;
+            //    a stable counting pass keeps each list id-ascending.
+            let mut end = lo;
+            for c in &mut cursor {
+                let start = end;
+                end += *c;
+                node_edge_offsets.push(end);
+                *c = start;
             }
             for &e in group {
-                let (u, _) = g.edge(EdgeId(e));
-                let r = uf.find(u.0) as usize;
-                node_of_root[r] = slot[r];
+                let c = &mut cursor[(edge_node[e as usize] - first) as usize];
+                node_edge_ids[*c] = e;
+                *c += 1;
             }
-            i = j;
-        }
 
-        let mut vertex_max_k = vec![ISOLATED; n];
-        for (e, &p) in phi.iter().enumerate() {
-            let (u, v) = g.edge(EdgeId(e as u32));
-            for x in [u.index(), v.index()] {
-                if vertex_max_k[x] == ISOLATED || vertex_max_k[x] < p {
-                    vertex_max_k[x] = p;
-                }
+            // 4. Absorbed components hang below the node now covering them.
+            for &(old_node, old_root) in &absorbed {
+                node_parent[old_node as usize] = node_of_root[uf.find(old_root) as usize];
             }
         }
 
@@ -556,6 +515,52 @@ impl BitrussHierarchy {
     }
 }
 
+/// Counting-sorts the edge ids by `(φ descending, id ascending)` over
+/// `φ_max + 1` buckets. Returns the distinct levels (ascending), the
+/// number of edges with `φ ≥` each level, and the sorted ids.
+///
+/// # Errors
+///
+/// [`Error::Invariant`] when some `φ ≥ m`: no graph with `m` edges has
+/// such a bitruss number, and it would size the buckets past `m`.
+fn sort_by_phi(phi: &[u64]) -> Result<(Vec<u64>, Vec<usize>, Vec<u32>)> {
+    let m = phi.len();
+    let Some(&phi_max) = phi.iter().max() else {
+        return Ok(Default::default());
+    };
+    if phi_max >= m as u64 {
+        return Err(Error::Invariant(format!(
+            "bitruss number {phi_max} is not below the edge count {m}"
+        )));
+    }
+    // Per-level edge counts, then turned into each level's start in the
+    // descending order: the number of edges above it.
+    let mut start = vec![0usize; phi_max as usize + 1];
+    for &p in phi {
+        start[p as usize] += 1;
+    }
+    let mut levels: Vec<u64> = Vec::new();
+    let mut count_ge: Vec<usize> = Vec::new();
+    let mut above = 0;
+    for (k, s) in start.iter_mut().enumerate().rev() {
+        let count = std::mem::replace(s, above);
+        if count > 0 {
+            above += count;
+            levels.push(k as u64);
+            count_ge.push(above);
+        }
+    }
+    levels.reverse();
+    count_ge.reverse();
+    let mut perm = vec![0u32; m];
+    for (e, &p) in phi.iter().enumerate() {
+        let s = &mut start[p as usize];
+        perm[*s] = e as u32;
+        *s += 1;
+    }
+    Ok((levels, count_ge, perm))
+}
+
 /// Builds CSR child lists from the parent array.
 fn derive_children(node_parent: &[u32]) -> (Vec<usize>, Vec<u32>) {
     let nodes = node_parent.len();
@@ -583,7 +588,146 @@ fn derive_children(node_parent: &[u32]) -> (Vec<usize>, Vec<u32>) {
 mod tests {
     use super::*;
     use crate::algo::{decompose, Algorithm};
-    use bigraph::GraphBuilder;
+    use bigraph::{GraphBuilder, SplitMix64};
+    use proptest::prelude::*;
+
+    /// The comparison-sort build [`BitrussHierarchy::new`] replaced: sorts
+    /// the edge ids on `(Reverse(φ), id)`, then per level sorts and
+    /// dedups the absorbed nodes and sorts `(node, edge)` pairs. Kept as
+    /// the reference the linear passes must reproduce array for array.
+    fn new_by_sorting(g: &BipartiteGraph, d: &Decomposition) -> BitrussHierarchy {
+        let phi = &d.phi;
+        let m = phi.len();
+        let n = g.num_vertices() as usize;
+
+        let mut perm: Vec<u32> = (0..m as u32).collect();
+        perm.sort_unstable_by_key(|&e| (std::cmp::Reverse(phi[e as usize]), e));
+
+        let mut levels: Vec<u64> = Vec::new();
+        let mut count_ge: Vec<usize> = Vec::new();
+        for (i, &e) in perm.iter().enumerate() {
+            let p = phi[e as usize];
+            if levels.last() != Some(&p) {
+                levels.push(p);
+                count_ge.push(i);
+            }
+        }
+        let mut ge: Vec<usize> = if count_ge.is_empty() {
+            Vec::new()
+        } else {
+            let mut v = count_ge[1..].to_vec();
+            v.push(m);
+            v
+        };
+        levels.reverse();
+        ge.reverse();
+        let count_ge = ge;
+
+        let mut uf = UnionFind::new(n);
+        let mut node_of_root: Vec<u32> = vec![NONE; n];
+        let mut node_level: Vec<u64> = Vec::new();
+        let mut node_parent: Vec<u32> = Vec::new();
+        let mut node_edge_offsets: Vec<usize> = vec![0];
+        let mut node_edge_ids: Vec<u32> = Vec::with_capacity(m);
+        let mut edge_node: Vec<u32> = vec![NONE; m];
+        let mut mark: Vec<u32> = vec![0; n];
+        let mut slot: Vec<u32> = vec![NONE; n];
+        let mut generation: u32 = 0;
+
+        let mut i = 0;
+        while i < m {
+            let level = phi[perm[i] as usize];
+            let mut j = i;
+            while j < m && phi[perm[j] as usize] == level {
+                j += 1;
+            }
+            let group = &perm[i..j];
+            generation += 1;
+
+            let mut absorbed: Vec<(u32, u32)> = Vec::new();
+            for &e in group {
+                let (u, v) = g.edge(EdgeId(e));
+                for x in [u.0, v.0] {
+                    let r = uf.find(x);
+                    let nd = node_of_root[r as usize];
+                    if nd != NONE {
+                        absorbed.push((nd, r));
+                    }
+                }
+            }
+            absorbed.sort_unstable();
+            absorbed.dedup_by_key(|c| c.0);
+
+            for &e in group {
+                let (u, v) = g.edge(EdgeId(e));
+                uf.union(u.0, v.0);
+            }
+
+            let mut assignment: Vec<(u32, u32)> = Vec::with_capacity(group.len());
+            for &e in group {
+                let (u, _) = g.edge(EdgeId(e));
+                let r = uf.find(u.0) as usize;
+                let nd = if mark[r] == generation {
+                    slot[r]
+                } else {
+                    let id = node_level.len() as u32;
+                    node_level.push(level);
+                    node_parent.push(NONE);
+                    mark[r] = generation;
+                    slot[r] = id;
+                    id
+                };
+                edge_node[e as usize] = nd;
+                assignment.push((nd, e));
+            }
+            assignment.sort_unstable();
+            let mut t = 0;
+            while t < assignment.len() {
+                let nd = assignment[t].0;
+                while t < assignment.len() && assignment[t].0 == nd {
+                    node_edge_ids.push(assignment[t].1);
+                    t += 1;
+                }
+                node_edge_offsets.push(node_edge_ids.len());
+            }
+
+            for &(old_node, old_root) in &absorbed {
+                let r = uf.find(old_root) as usize;
+                node_parent[old_node as usize] = slot[r];
+            }
+            for &e in group {
+                let (u, _) = g.edge(EdgeId(e));
+                let r = uf.find(u.0) as usize;
+                node_of_root[r] = slot[r];
+            }
+            i = j;
+        }
+
+        let mut vertex_max_k = vec![ISOLATED; n];
+        for (e, &p) in phi.iter().enumerate() {
+            let (u, v) = g.edge(EdgeId(e as u32));
+            for x in [u.index(), v.index()] {
+                if vertex_max_k[x] == ISOLATED || vertex_max_k[x] < p {
+                    vertex_max_k[x] = p;
+                }
+            }
+        }
+
+        let (child_offsets, children) = derive_children(&node_parent);
+        BitrussHierarchy {
+            levels,
+            count_ge,
+            perm,
+            node_level,
+            node_parent,
+            node_edge_offsets,
+            node_edge_ids,
+            edge_node,
+            vertex_max_k,
+            child_offsets,
+            children,
+        }
+    }
 
     /// Figure 1/4 fixture with known bitruss numbers 2,2,2,2,2,2,1,0,1,1,0.
     fn fig1() -> (BipartiteGraph, Decomposition) {
@@ -605,6 +749,100 @@ mod tests {
             .unwrap();
         let phi = vec![2, 2, 2, 2, 2, 2, 1, 0, 1, 1, 0];
         (g, Decomposition::new(phi))
+    }
+
+    /// `g` with two more upper and three more lower vertices, all
+    /// isolated.
+    fn with_isolated(g: &BipartiteGraph) -> BipartiteGraph {
+        GraphBuilder::new()
+            .with_upper(g.num_upper() + 2)
+            .with_lower(g.num_lower() + 3)
+            .add_edges(g.edge_pairs())
+            .build()
+            .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// BU++ decompositions of uniform and Chung-Lu graphs, with and
+        /// without isolated vertices; `nu`/`nl`/`m` reach 0, the empty
+        /// graph.
+        #[test]
+        fn linear_build_matches_sorting_on_decompositions(
+            nu in 0..40u32,
+            nl in 0..40u32,
+            m in 0..500usize,
+            powerlaw in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let g = if powerlaw {
+                datagen::powerlaw::chung_lu(nu, nl, m, 1.9, 1.9, seed)
+            } else {
+                datagen::random::uniform(nu, nl, m, seed)
+            };
+            for g in [with_isolated(&g), g] {
+                let (d, _) = decompose(&g, Algorithm::BuPlusPlus);
+                prop_assert_eq!(BitrussHierarchy::new(&g, &d).unwrap(), new_by_sorting(&g, &d));
+            }
+        }
+
+        /// Arbitrary φ arrays with values in `0..m`: one level, a level
+        /// per few edges, or three levels with wide gaps between them.
+        #[test]
+        fn linear_build_matches_sorting_on_arbitrary_phi(
+            nu in 1..30u32,
+            nl in 1..30u32,
+            m in 1..300usize,
+            shape in 0..3u32,
+            seed in any::<u64>(),
+        ) {
+            let g = with_isolated(&datagen::random::uniform(nu, nl, m, seed));
+            let m = u64::from(g.num_edges());
+            let mut rng = SplitMix64::new(seed);
+            let one = rng.next_below(m);
+            let phi: Vec<u64> = (0..m)
+                .map(|_| match shape {
+                    0 => one,
+                    1 => rng.next_below(m),
+                    _ => rng.next_below(3) * ((m - 1) / 2),
+                })
+                .collect();
+            let d = Decomposition::new(phi);
+            prop_assert_eq!(BitrussHierarchy::new(&g, &d).unwrap(), new_by_sorting(&g, &d));
+        }
+    }
+
+    #[test]
+    fn linear_build_matches_sorting_on_the_fixtures() {
+        let (g, d) = fig1();
+        assert_eq!(
+            BitrussHierarchy::new(&g, &d).unwrap(),
+            new_by_sorting(&g, &d)
+        );
+        let g = GraphBuilder::new()
+            .with_upper(3)
+            .with_lower(2)
+            .build()
+            .unwrap();
+        let d = Decomposition::new(vec![]);
+        assert_eq!(
+            BitrussHierarchy::new(&g, &d).unwrap(),
+            new_by_sorting(&g, &d)
+        );
+    }
+
+    #[test]
+    fn phi_at_or_above_the_edge_count_is_rejected() {
+        let g = GraphBuilder::new()
+            .add_edges([(0, 0), (1, 0)])
+            .build()
+            .unwrap();
+        for phi in [vec![0, 2], vec![5, 0], vec![u64::MAX, 1]] {
+            let err = BitrussHierarchy::new(&g, &Decomposition::new(phi)).unwrap_err();
+            assert!(matches!(err, Error::Invariant(_)), "{err}");
+        }
+        assert!(BitrussHierarchy::new(&g, &Decomposition::new(vec![1, 0])).is_ok());
     }
 
     #[test]

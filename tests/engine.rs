@@ -4,7 +4,7 @@
 //! cancellation surfacing `Error::Cancelled` mid-peel without panicking.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 
 use bitruss::graph::Error;
 use bitruss::{
@@ -276,5 +276,62 @@ fn observer_sees_ordered_phases() {
     assert!(
         observer.1.load(Ordering::Relaxed) > 0,
         "expected progress ticks on a 2.5k-edge graph"
+    );
+}
+
+#[test]
+fn concurrent_first_readers_share_one_hierarchy_build() {
+    // Readers released together onto one fresh generation: the first
+    // builds, the rest wait for its index instead of building their own.
+    // The observer holds a build open until every reader has asked for
+    // the index, so unshared builds would all start before one finished.
+    const READERS: usize = 8;
+    #[derive(Default)]
+    struct HoldBuild {
+        builds: AtomicU64,
+        asked: Mutex<usize>,
+        all_asked: Condvar,
+    }
+    impl EngineObserver for HoldBuild {
+        fn on_phase_start(&self, phase: Phase, _total: u64) {
+            if phase == Phase::HierarchyBuild {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                let asked = self.asked.lock().unwrap();
+                drop(self.all_asked.wait_while(asked, |n| *n < READERS).unwrap());
+            }
+        }
+    }
+    let observer = Arc::new(HoldBuild::default());
+    let g = bitruss::workloads::powerlaw::chung_lu(200, 200, 2_000, 1.9, 1.9, 5);
+    let session = BitrussEngine::builder()
+        .progress(observer.clone())
+        .build(g)
+        .unwrap();
+    assert_eq!(
+        observer.builds.load(Ordering::Relaxed),
+        0,
+        "lazy: nothing built yet"
+    );
+    let barrier = Barrier::new(READERS);
+    let built: Vec<usize> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let reader = session.clone_shared();
+                let (barrier, observer) = (&barrier, &observer);
+                s.spawn(move || {
+                    barrier.wait();
+                    *observer.asked.lock().unwrap() += 1;
+                    observer.all_asked.notify_all();
+                    std::ptr::from_ref(reader.hierarchy().unwrap()) as usize
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(observer.builds.load(Ordering::Relaxed), 1);
+    assert!(built.iter().all(|&h| h == built[0]), "one shared index");
+    assert_eq!(
+        std::ptr::from_ref(session.hierarchy().unwrap()) as usize,
+        built[0]
     );
 }
